@@ -8,6 +8,7 @@ runtime failure (invalid grid geometry, non-finite trajectory).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -39,6 +40,17 @@ def _rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a rational number") from None
+
+
+def _duration(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive finite number")
+    return value
 
 
 def _point(text: str) -> tuple[Fraction, ...]:
@@ -119,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("hamiltonian")
     cmd.add_argument("--x0", type=_point, required=True,
                      help="initial point q1,q2,p1,p2")
-    cmd.add_argument("--time", type=float, required=True, help="duration")
-    cmd.add_argument("--dt", type=float, default=1e-3,
+    cmd.add_argument("--time", type=_duration, required=True, help="duration")
+    cmd.add_argument("--dt", type=_duration, default=1e-3,
                      help="step size (default 1e-3)")
     cmd.set_defaults(func=_cmd_evolve)
 

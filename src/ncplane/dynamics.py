@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .poly import Observable
+from .symplectic import poisson_bivector
 
 State = tuple[float, float, float, float]
 TrajectoryPoint = tuple[float, State]
@@ -29,11 +30,12 @@ def compile_observable(obs: Observable, theta: float, hbar: float = 1.0
     Parameter values are substituted exactly first, so the only floating
     point error is in the final monomial evaluation.
     """
+    exact = obs.substitute_params(theta=Fraction(theta), hbar=Fraction(hbar))
     terms = []
-    for key, scalar in obs.terms():
-        coeff = float(scalar.evaluate(Fraction(theta), Fraction(hbar)))
-        if coeff:
-            terms.append((key, coeff))
+    for key, coeff in exact.flat_terms():
+        value = float(coeff)
+        if value:
+            terms.append((key[:4], value))
 
     def evaluate(x: Sequence[float]) -> float:
         total = 0.0
@@ -44,15 +46,6 @@ def compile_observable(obs: Observable, theta: float, hbar: float = 1.0
     return evaluate
 
 
-def _bivector_numeric(theta: float):
-    return (
-        (0.0, theta, 1.0, 0.0),
-        (-theta, 0.0, 0.0, 1.0),
-        (-1.0, 0.0, 0.0, 0.0),
-        (0.0, -1.0, 0.0, 0.0),
-    )
-
-
 def evolve(hamiltonian: Observable, x0: Sequence[float], theta: float,
            t_final: float, dt: float, hbar: float = 1.0) -> list[TrajectoryPoint]:
     """Integrate Hamilton's equations, returning (t, state) samples.
@@ -61,17 +54,21 @@ def evolve(hamiltonian: Observable, x0: Sequence[float], theta: float,
     and the actual step is t_final divided by that count. Raises
     ``NonFiniteState`` as soon as a component stops being finite.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError("t_final must be positive and finite")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    if not math.isfinite(t_final / dt):
+        raise ValueError("t_final / dt is too large")
     x = tuple(float(component) for component in x0)
     if len(x) != 4:
         raise ValueError("initial state needs four components")
 
     grads = [compile_observable(hamiltonian.diff(axis), theta, hbar)
              for axis in range(4)]
-    pi = _bivector_numeric(theta)
+    origin = (0, 0, 0, 0)
+    pi = [[entry.evaluate(origin, theta, hbar) for entry in row]
+          for row in poisson_bivector()]
 
     def velocity(state):
         g = [grad(state) for grad in grads]

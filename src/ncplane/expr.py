@@ -9,8 +9,10 @@ Grammar (whitespace-insensitive):
 
 ``IDENT`` is one of q1, q2, p1, p2, theta, hbar. Division is only defined
 by a nonzero rational constant. Numeric literals are integers or decimals
-and convert exactly to rationals. All errors carry the byte offset of the
-offending token in the UTF-8 encoding of the source.
+and convert exactly to rationals. A product or power whose total degree
+over all six variables would exceed ``MAX_DEGREE`` is rejected before it
+is computed. All errors carry the byte offset of the offending token in
+the UTF-8 encoding of the source.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from fractions import Fraction
 from .poly import COORD_NAMES, Observable, Scalar
 
 MAX_SOURCE_BYTES = 65536
+# A dense polynomial of degree d in six variables has C(d + 6, 6) terms,
+# so the cost of one product grows like d^12. At this budget the densest
+# admitted power, (q1+q2+p1+p2+theta+hbar)^12, takes about a second.
+MAX_DEGREE = 12
 
 _IDENTS = {
     "q1": Observable.coordinate(0),
@@ -114,6 +120,11 @@ class _Parser:
         raise ParseError(tok.offset, expected,
                          message or f"unexpected {shown}")
 
+    def check_degree(self, degree: int, op: _Token):
+        if degree > MAX_DEGREE:
+            raise ParseError(op.offset, f"a total degree of at most {MAX_DEGREE}",
+                             f"{op.text!r} would give degree {degree}")
+
     def parse_expr(self) -> Observable:
         value = self.parse_term()
         while self.current.kind == "op" and self.current.text in "+-":
@@ -125,10 +136,11 @@ class _Parser:
     def parse_term(self) -> Observable:
         value = self.parse_factor()
         while self.current.kind == "op" and self.current.text in "*/":
-            op = self.advance().text
+            op = self.advance()
             start = self.current.offset
             rhs = self.parse_factor()
-            if op == "*":
+            if op.text == "*":
+                self.check_degree(value.degree() + rhs.degree(), op)
                 value = value * rhs
             else:
                 if not rhs.is_constant:
@@ -150,11 +162,12 @@ class _Parser:
             return -self.parse_factor()
         value = self.parse_atom()
         if self.current.kind == "op" and self.current.text == "^":
-            self.advance()
+            caret = self.advance()
             if self.current.kind != "number" or self.current.value.denominator != 1:
                 self.fail("a nonnegative integer exponent")
-            exp_tok = self.advance()
-            value = value ** int(exp_tok.value)
+            exponent = int(self.advance().value)
+            self.check_degree(value.degree() * exponent, caret)
+            value = value ** exponent
         return value
 
     def parse_atom(self) -> Observable:
@@ -226,13 +239,7 @@ def format_observable(obs: Observable) -> str:
 
     The output round-trips through ``parse_observable``.
     """
-    flat: dict[tuple[int, ...], Fraction] = {}
-    for mono, scalar in obs.terms():
-        for (tp, hp), coeff in scalar.terms():
-            # variable order: q1, q2, p1, p2, theta, hbar
-            key = (mono[0], mono[1], mono[2], mono[3], tp, hp)
-            flat[key] = flat.get(key, Fraction(0)) + coeff
-    flat = {k: v for k, v in flat.items() if v}
+    flat = dict(obs.flat_terms())
     if not flat:
         return "0"
     parts = []

@@ -125,7 +125,6 @@ class RelationCheck:
     error: float
     tol: float
     cocycle: tuple[float, float]   # (z1, z2) charges behind the phase
-    hbar_weighted: complex         # phase if z1 entered scaled by hbar
 
     @property
     def passed(self) -> bool:
@@ -141,13 +140,12 @@ def _exchange(wfn: Wavefunction, first, second, name: str,
     forward = first(second(wfn))
     backward = second(first(wfn))
     predicted = complex(np.exp(1j * (z1 + spec.theta * z2)))
-    weighted = complex(np.exp(1j * (spec.hbar * z1 + spec.theta * z2)))
     measured = inner(backward, forward) / scale ** 2
     aligned = forward.values - predicted * backward.values
     residual = spec.step * float(np.linalg.norm(aligned)) / scale
     error = max(residual, abs(measured - predicted))
     return RelationCheck(name, predicted, measured, error,
-                         RELATION_TOLERANCES[name], (z1, z2), weighted)
+                         RELATION_TOLERANCES[name], (z1, z2))
 
 
 def weyl_check(wfn: Wavefunction, a: Sequence[float], b: Sequence[float],

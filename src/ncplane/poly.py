@@ -1,14 +1,20 @@
 """Exact polynomial arithmetic for phase-space observables.
 
-Two layers. ``Scalar`` is a polynomial with rational coefficients in the
-formal deformation parameter ``theta`` and the Planck constant ``hbar``;
-it plays the role of the coefficient ring. ``Observable`` is a polynomial
-in the four phase-space coordinates ``(q1, q2, p1, p2)`` over that ring.
+One sparse map holds a polynomial in the four phase-space coordinates
+``(q1, q2, p1, p2)`` and the two formal parameters, the deformation
+``theta`` and the Planck constant ``hbar``. Each key is the six exponents
+``(q1, q2, p1, p2, theta, hbar)`` of a monomial and each value its
+nonzero ``fractions.Fraction`` coefficient: the flat layout of Monagan and
+Pearce's sparse polynomial arithmetic. ``Observable`` is that map, with
+its ring operations written once; ``Scalar`` is the subset free of the
+coordinates, i.e. the coefficient ring Q[theta, hbar], and shares every
+operation.
 
-Both are kept in canonical sparse form (zero coefficients are never
-stored), so structural equality is ring equality and ``is_zero`` is a
-dictionary emptiness check. Nothing is rounded until an explicit numeric
-evaluation, which goes through ``fractions.Fraction`` end to end.
+Zero coefficients are never stored, so structural equality is ring
+equality and ``is_zero`` is a dictionary emptiness check. A map is never
+changed after construction, so values may share one. Nothing is rounded
+until an explicit numeric evaluation, which goes through ``Fraction`` end
+to end.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ PARAM_NAMES = ("theta", "hbar")
 
 ParamKey = tuple[int, int]          # (theta power, hbar power)
 MonomialKey = tuple[int, int, int, int]  # exponents of q1, q2, p1, p2
+Key = tuple[int, int, int, int, int, int]  # q1, q2, p1, p2, theta, hbar
 
 _ZERO_MONO: MonomialKey = (0, 0, 0, 0)
+_ONE_KEY: Key = (0, 0, 0, 0, 0, 0)
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -35,46 +43,76 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class Scalar:
-    """Element of Q[theta, hbar], stored as exponent-pair -> coefficient."""
+def _as_scalar(value: "ScalarLike") -> "Scalar":
+    if isinstance(value, Scalar):
+        return value
+    return Scalar.from_rational(_as_fraction(value))
+
+
+def _result_type(a: "Observable", b: "Observable") -> type:
+    # a Scalar result only when neither operand has room for coordinates
+    return type(a) if isinstance(b, type(a)) else type(b)
+
+
+class Observable:
+    """Polynomial in (q1, q2, p1, p2, theta, hbar) over the rationals."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[ParamKey, RationalLike] | None = None):
-        canonical: dict[ParamKey, Fraction] = {}
+    def __init__(self, terms: Mapping[MonomialKey, "ScalarLike"] | None = None):
+        flat: dict[Key, Fraction] = {}
         if terms:
-            for key, coeff in terms.items():
-                frac = _as_fraction(coeff)
-                if frac:
-                    canonical[key] = frac
-        self._terms = canonical
+            for mono, coeff in terms.items():
+                for key, value in _as_scalar(coeff)._terms.items():
+                    flat[tuple(mono) + key[4:]] = value
+        self._terms = flat
 
     @classmethod
-    def from_rational(cls, value: RationalLike) -> "Scalar":
-        return cls({(0, 0): _as_fraction(value)})
+    def _new(cls, terms: dict[Key, Fraction]):
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
 
     @classmethod
-    def term(cls, coeff: RationalLike, theta: int = 0, hbar: int = 0) -> "Scalar":
-        return cls({(theta, hbar): _as_fraction(coeff)})
+    def from_flat(cls, terms: Mapping[Key, RationalLike]):
+        """Build from six-exponent keys ``(q1, q2, p1, p2, theta, hbar)``."""
+        flat = {}
+        for key, coeff in terms.items():
+            frac = _as_fraction(coeff)
+            if frac:
+                flat[tuple(key)] = frac
+        return cls._new(flat)
 
     @classmethod
-    def zero(cls) -> "Scalar":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "Scalar":
-        return cls.from_rational(1)
+    def constant(cls, value: "ScalarLike") -> "Observable":
+        return cls._new(_as_scalar(value)._terms)
 
     @classmethod
-    def theta(cls) -> "Scalar":
-        return cls.term(1, theta=1)
+    def coordinate(cls, axis: int) -> "Observable":
+        if axis not in (0, 1, 2, 3):
+            raise ValueError("axis must be 0..3 (q1, q2, p1, p2)")
+        key = [0, 0, 0, 0]
+        key[axis] = 1
+        return cls({tuple(key): Scalar.one()})
 
     @classmethod
-    def hbar(cls) -> "Scalar":
-        return cls.term(1, hbar=1)
+    def term(cls, coeff: "ScalarLike", exponents: MonomialKey) -> "Observable":
+        return cls({tuple(exponents): coeff})
 
-    def terms(self) -> Iterator[tuple[ParamKey, Fraction]]:
+    def flat_terms(self) -> Iterator[tuple[Key, Fraction]]:
+        """The stored ``(six-exponent key, coefficient)`` pairs."""
         return iter(self._terms.items())
+
+    def terms(self) -> Iterator[tuple[MonomialKey, "Scalar"]]:
+        """Coordinate monomials with their Q[theta, hbar] coefficients."""
+        groups: dict[MonomialKey, dict[Key, Fraction]] = {}
+        for key, coeff in self._terms.items():
+            groups.setdefault(key[:4], {})[_ZERO_MONO + key[4:]] = coeff
+        return ((mono, Scalar._new(params)) for mono, params in groups.items())
 
     @property
     def is_zero(self) -> bool:
@@ -83,21 +121,29 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def coefficient(self, theta: int = 0, hbar: int = 0) -> Fraction:
-        return self._terms.get((theta, hbar), Fraction(0))
+    def coefficient(self, exponents: MonomialKey) -> "Scalar":
+        mono = tuple(exponents)
+        return Scalar._new({_ZERO_MONO + key[4:]: coeff
+                            for key, coeff in self._terms.items()
+                            if key[:4] == mono})
+
+    def constant_part(self) -> "Scalar":
+        return self.coefficient(_ZERO_MONO)
 
     @property
     def is_constant(self) -> bool:
-        """True when no formal parameter appears."""
-        return all(key == (0, 0) for key in self._terms)
+        return all(key[:4] == _ZERO_MONO for key in self._terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("scalar depends on a formal parameter")
-        return self.coefficient()
+    def coordinate_degree(self) -> int:
+        """Total degree in the coordinates, ignoring theta and hbar."""
+        return max((sum(key[:4]) for key in self._terms), default=0)
 
-    def _coerce(self, other) -> "Scalar | None":
-        if isinstance(other, Scalar):
+    def degree(self) -> int:
+        """Total degree over all six variables, theta and hbar included."""
+        return max((sum(key) for key in self._terms), default=0)
+
+    def _coerce(self, other) -> "Observable | None":
+        if isinstance(other, Observable):
             return other
         if isinstance(other, (int, Fraction)):
             return Scalar.from_rational(other)
@@ -109,21 +155,20 @@ class Scalar:
             return NotImplemented
         out = dict(self._terms)
         for key, coeff in rhs._terms.items():
-            total = out.get(key, Fraction(0)) + coeff
-            if total:
-                out[key] = total
+            if key in out:
+                total = out[key] + coeff
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
             else:
-                out.pop(key, None)
-        result = Scalar.__new__(Scalar)
-        result._terms = out
-        return result
+                out[key] = coeff
+        return _result_type(self, rhs)._new(out)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Scalar":
-        result = Scalar.__new__(Scalar)
-        result._terms = {key: -coeff for key, coeff in self._terms.items()}
-        return result
+    def __neg__(self):
+        return type(self)._new({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -141,239 +186,45 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[ParamKey, Fraction] = {}
-        for (t1, h1), c1 in self._terms.items():
-            for (t2, h2), c2 in rhs._terms.items():
-                key = (t1 + t2, h1 + h2)
-                total = out.get(key, Fraction(0)) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        result = Scalar.__new__(Scalar)
-        result._terms = out
-        return result
+        out: dict[Key, Fraction] = {}
+        get = out.get
+        right = list(rhs._terms.items())
+        for (a0, a1, a2, a3, a4, a5), c1 in self._terms.items():
+            for (b0, b1, b2, b3, b4, b5), c2 in right:
+                key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
+                prev = get(key)
+                out[key] = c1 * c2 if prev is None else prev + c1 * c2
+        return _result_type(self, rhs)._new(
+            {key: coeff for key, coeff in out.items() if coeff})
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Scalar":
+    def __pow__(self, exponent: int):
+        """Binary powering: one multiply per squaring and per further bit."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Scalar.one()
+        if exponent == 0:
+            return type(self)._new({_ONE_KEY: Fraction(1)})
+        result = None
         base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
             base = base * base
-            n >>= 1
-        return result
-
-    def substitute(self, theta: RationalLike | None = None,
-                   hbar: RationalLike | None = None) -> "Scalar":
-        """Partially evaluate formal parameters at exact rational values."""
-        t_val = None if theta is None else _as_fraction(theta)
-        h_val = None if hbar is None else _as_fraction(hbar)
-        out = Scalar.zero()
-        for (tp, hp), coeff in self._terms.items():
-            factor = coeff
-            if t_val is not None:
-                factor *= t_val ** tp
-                tp = 0
-            if h_val is not None:
-                factor *= h_val ** hp
-                hp = 0
-            out = out + Scalar({(tp, hp): factor})
-        return out
-
-    def evaluate(self, theta, hbar) -> Fraction:
-        t_val = Fraction(theta)
-        h_val = Fraction(hbar)
-        total = Fraction(0)
-        for (tp, hp), coeff in self._terms.items():
-            total += coeff * t_val ** tp * h_val ** hp
-        return total
-
-    def __eq__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._terms == rhs._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "Scalar(0)"
-        bits = []
-        for (tp, hp), coeff in sorted(self._terms.items()):
-            piece = str(coeff)
-            if tp:
-                piece += f"*theta^{tp}" if tp > 1 else "*theta"
-            if hp:
-                piece += f"*hbar^{hp}" if hp > 1 else "*hbar"
-            bits.append(piece)
-        return "Scalar(" + " + ".join(bits) + ")"
-
-
-ScalarLike = Union[Scalar, int, Fraction]
-
-
-def _as_scalar(value: ScalarLike) -> Scalar:
-    if isinstance(value, Scalar):
-        return value
-    return Scalar.from_rational(_as_fraction(value))
-
-
-class Observable:
-    """Polynomial in (q1, q2, p1, p2) with Scalar coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[MonomialKey, ScalarLike] | None = None):
-        canonical: dict[MonomialKey, Scalar] = {}
-        if terms:
-            for key, coeff in terms.items():
-                scalar = _as_scalar(coeff)
-                if scalar:
-                    canonical[key] = scalar
-        self._terms = canonical
-
-    @classmethod
-    def zero(cls) -> "Observable":
-        return cls()
-
-    @classmethod
-    def constant(cls, value: ScalarLike) -> "Observable":
-        return cls({_ZERO_MONO: _as_scalar(value)})
-
-    @classmethod
-    def coordinate(cls, axis: int) -> "Observable":
-        if axis not in (0, 1, 2, 3):
-            raise ValueError("axis must be 0..3 (q1, q2, p1, p2)")
-        key = [0, 0, 0, 0]
-        key[axis] = 1
-        return cls({tuple(key): Scalar.one()})
-
-    @classmethod
-    def term(cls, coeff: ScalarLike, exponents: MonomialKey) -> "Observable":
-        return cls({tuple(exponents): _as_scalar(coeff)})
-
-    def terms(self) -> Iterator[tuple[MonomialKey, Scalar]]:
-        return iter(self._terms.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def coefficient(self, exponents: MonomialKey) -> Scalar:
-        return self._terms.get(tuple(exponents), Scalar.zero())
-
-    def constant_part(self) -> Scalar:
-        return self.coefficient(_ZERO_MONO)
-
-    @property
-    def is_constant(self) -> bool:
-        return all(key == _ZERO_MONO for key in self._terms)
-
-    def coordinate_degree(self) -> int:
-        """Total degree in the coordinates, ignoring theta and hbar."""
-        if not self._terms:
-            return 0
-        return max(sum(key) for key in self._terms)
-
-    def _coerce(self, other) -> "Observable | None":
-        if isinstance(other, Observable):
-            return other
-        if isinstance(other, (Scalar, int, Fraction)):
-            return Observable.constant(other)
-        return None
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in rhs._terms.items():
-            total = out.get(key, Scalar.zero()) + coeff
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        result = Observable.__new__(Observable)
-        result._terms = out
-        return result
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Observable":
-        result = Observable.__new__(Observable)
-        result._terms = {key: -coeff for key, coeff in self._terms.items()}
-        return result
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs + (-self)
-
-    def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out: dict[MonomialKey, Scalar] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in rhs._terms.items():
-                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                total = out.get(key, Scalar.zero()) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        result = Observable.__new__(Observable)
-        result._terms = out
-        return result
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Observable":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Observable.constant(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def diff(self, axis: int) -> "Observable":
         """Exact partial derivative along one coordinate axis."""
         if axis not in (0, 1, 2, 3):
             raise ValueError("axis must be 0..3 (q1, q2, p1, p2)")
-        out: dict[MonomialKey, Scalar] = {}
+        out: dict[Key, Fraction] = {}
         for key, coeff in self._terms.items():
             e = key[axis]
-            if e == 0:
-                continue
-            new_key = list(key)
-            new_key[axis] = e - 1
-            out[tuple(new_key)] = coeff * e
-        result = Observable.__new__(Observable)
-        result._terms = out
-        return result
+            if e:
+                out[key[:axis] + (e - 1,) + key[axis + 1:]] = coeff * e
+        return type(self)._new(out)
 
     def substitute(self, images: Mapping[int, "Observable"]) -> "Observable":
         """Ring homomorphism replacing coordinates by the given observables.
@@ -382,25 +233,29 @@ class Observable:
         """
         basis = [images.get(axis, Observable.coordinate(axis)) for axis in range(4)]
         total = Observable.zero()
-        for key, coeff in self._terms.items():
-            piece = Observable.constant(coeff)
-            for axis, e in enumerate(key):
+        for mono, coeff in self.terms():
+            piece = coeff
+            for axis, e in enumerate(mono):
                 if e:
                     piece = piece * basis[axis] ** e
             total = total + piece
         return total
 
     def substitute_params(self, theta: RationalLike | None = None,
-                          hbar: RationalLike | None = None) -> "Observable":
-        out: dict[MonomialKey, Scalar] = {}
+                          hbar: RationalLike | None = None):
+        """Partially evaluate formal parameters at exact rational values."""
+        values = (None if theta is None else _as_fraction(theta),
+                  None if hbar is None else _as_fraction(hbar))
+        out: dict[Key, Fraction] = {}
         for key, coeff in self._terms.items():
-            reduced = coeff.substitute(theta=theta, hbar=hbar)
-            if reduced:
-                existing = out.get(key)
-                out[key] = reduced if existing is None else existing + reduced
-        result = Observable.__new__(Observable)
-        result._terms = {k: v for k, v in out.items() if v}
-        return result
+            exps = list(key)
+            for slot, value in zip((4, 5), values):
+                if value is not None:
+                    coeff *= value ** exps[slot]
+                    exps[slot] = 0
+            key = tuple(exps)
+            out[key] = out[key] + coeff if key in out else coeff
+        return type(self)._new({key: coeff for key, coeff in out.items() if coeff})
 
     def evaluate_exact(self, point: Iterable, theta, hbar) -> Fraction:
         """Evaluate at a phase-space point with exact rational arithmetic.
@@ -412,12 +267,13 @@ class Observable:
         if len(x) != 4:
             raise ValueError("phase-space point must have four components")
         total = Fraction(0)
+        if self._terms:
+            x += [Fraction(theta), Fraction(hbar)]
         for key, coeff in self._terms.items():
-            value = coeff.evaluate(theta, hbar)
-            for axis, e in enumerate(key):
+            for value, e in zip(x, key):
                 if e:
-                    value *= x[axis] ** e
-            total += value
+                    coeff *= value ** e
+            total += coeff
         return total
 
     def evaluate(self, point: Iterable, theta=0, hbar=1) -> float:
@@ -436,13 +292,93 @@ class Observable:
         if not self._terms:
             return "Observable(0)"
         bits = []
-        for key in sorted(self._terms):
-            mono = "*".join(
+        for mono, coeff in sorted(self.terms()):
+            name = "*".join(
                 f"{COORD_NAMES[axis]}^{e}" if e > 1 else COORD_NAMES[axis]
-                for axis, e in enumerate(key) if e
+                for axis, e in enumerate(mono) if e
             )
-            bits.append(f"{self._terms[key]!r}*{mono}" if mono else repr(self._terms[key]))
+            bits.append(f"{coeff!r}*{name}" if name else repr(coeff))
         return "Observable(" + " + ".join(bits) + ")"
+
+
+class Scalar(Observable):
+    """Element of Q[theta, hbar]: an ``Observable`` free of the coordinates.
+
+    Arithmetic is ``Observable``'s; a result stays a ``Scalar`` when both
+    operands are. The methods below read and write the parameter-only
+    view, keyed by ``(theta power, hbar power)``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[ParamKey, RationalLike] | None = None):
+        flat: dict[Key, Fraction] = {}
+        if terms:
+            for (tp, hp), coeff in terms.items():
+                frac = _as_fraction(coeff)
+                if frac:
+                    flat[_ZERO_MONO + (tp, hp)] = frac
+        self._terms = flat
+
+    @classmethod
+    def from_rational(cls, value: RationalLike) -> "Scalar":
+        return cls({(0, 0): value})
+
+    @classmethod
+    def term(cls, coeff: RationalLike, theta: int = 0, hbar: int = 0) -> "Scalar":
+        return cls({(theta, hbar): coeff})
+
+    @classmethod
+    def one(cls) -> "Scalar":
+        return cls.from_rational(1)
+
+    @classmethod
+    def theta(cls) -> "Scalar":
+        return cls.term(1, theta=1)
+
+    @classmethod
+    def hbar(cls) -> "Scalar":
+        return cls.term(1, hbar=1)
+
+    def terms(self) -> Iterator[tuple[ParamKey, Fraction]]:
+        return ((key[4:], coeff) for key, coeff in self._terms.items())
+
+    def coefficient(self, theta: int = 0, hbar: int = 0) -> Fraction:
+        return self._terms.get(_ZERO_MONO + (theta, hbar), Fraction(0))
+
+    @property
+    def is_constant(self) -> bool:
+        """True when no formal parameter appears."""
+        return all(key == _ONE_KEY for key in self._terms)
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant:
+            raise ValueError("scalar depends on a formal parameter")
+        return self.coefficient()
+
+    def substitute(self, theta: RationalLike | None = None,
+                   hbar: RationalLike | None = None) -> "Scalar":
+        """Partially evaluate formal parameters at exact rational values."""
+        return self.substitute_params(theta=theta, hbar=hbar)
+
+    def evaluate(self, theta, hbar) -> Fraction:
+        return self.evaluate_exact((0, 0, 0, 0), theta, hbar)
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return "Scalar(0)"
+        bits = []
+        for (tp, hp), coeff in sorted(self.terms()):
+            piece = str(coeff)
+            if tp:
+                piece += f"*theta^{tp}" if tp > 1 else "*theta"
+            if hp:
+                piece += f"*hbar^{hp}" if hp > 1 else "*hbar"
+            bits.append(piece)
+        return "Scalar(" + " + ".join(bits) + ")"
+
+
+ScalarLike = Union[Scalar, int, Fraction]
 
 
 # Convenient building blocks; these are fresh-from-constructor and immutable.

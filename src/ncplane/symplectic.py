@@ -5,173 +5,82 @@ form
 
     Omega = dq^i ^ dp_i + (theta/2) eps^{ij} dp_i ^ dp_j,   eps^{12} = +1.
 
-Everything here is exact: matrix entries are Observables (typically
-constant in the coordinates, polynomial in theta), inverses come from the
-adjugate, and brackets are computed by explicit contraction. The induced
-brackets are
+Its matrix, the matrix inverse and the Poisson bivector are constant in
+the coordinates and are written out below as literals; the bivector is
+the inverse with its momentum rows and columns reflected. Everything is
+exact, and the induced brackets are
 
     {q1, q2} = theta,   {q^i, p_j} = delta^i_j,   {p_i, p_j} = 0.
 """
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
+from .poly import HALF, ONE, THETA, Observable, P1, P2, Q1, Q2
 
-from .poly import HALF, Observable, P1, P2, Q1, Q2, Scalar
+_O = Observable.zero()
 
-COORDS = (Q1, Q2, P1, P2)
+# Omega_{ab} in the coordinate basis (q1, q2, p1, p2)
+_FORM = (
+    (_O, _O, ONE, _O),
+    (_O, _O, _O, ONE),
+    (-ONE, _O, _O, THETA),
+    (_O, -ONE, -THETA, _O),
+)
 
-_THETA = Scalar.theta()
+_INVERSE = (
+    (_O, THETA, -ONE, _O),
+    (-THETA, _O, _O, -ONE),
+    (ONE, _O, _O, _O),
+    (_O, ONE, _O, _O),
+)
+
+# Pi^{ab} = {x^a, x^b}
+_BIVECTOR = (
+    (_O, THETA, ONE, _O),
+    (-THETA, _O, _O, ONE),
+    (-ONE, _O, _O, _O),
+    (_O, -ONE, _O, _O),
+)
 
 
 class NonExactForm(ValueError):
     """The contracted 1-form is not closed, so no generating observable exists."""
 
 
-def _const(value) -> Observable:
-    return Observable.constant(value)
-
-
-def _zero_matrix() -> list[list[Observable]]:
-    return [[Observable.zero() for _ in range(4)] for _ in range(4)]
-
-
-def _matmul(a, b):
-    out = _zero_matrix()
-    for i in range(4):
-        for j in range(4):
-            acc = Observable.zero()
-            for k in range(4):
-                acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
-    return out
-
-
-def _transpose(a):
-    return [[a[j][i] for j in range(4)] for i in range(4)]
-
-
-def _determinant(a) -> Observable:
-    # permutation expansion; fine for fixed size 4 and exact entries
-    total = Observable.zero()
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = _const(sign)
-        for i in range(4):
-            prod = prod * a[i][perm[i]]
-        total = total + prod
-    return total
-
-
-def _minor(a, row, col):
-    rows = [r for r in range(4) if r != row]
-    cols = [c for c in range(4) if c != col]
-    # 3x3 determinant by cofactor expansion along the first row
-    m = [[a[r][c] for c in cols] for r in rows]
-    det = Observable.zero()
-    for j in range(3):
-        sub = [
-            [m[r][c] for c in range(3) if c != j]
-            for r in (1, 2)
-        ]
-        cof = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-        term = m[0][j] * cof
-        det = det + term if j % 2 == 0 else det - term
-    return det
-
-
-def _inverse_unimodular(a):
-    """Invert an exact 4x4 matrix whose determinant is the constant 1."""
-    det = _determinant(a)
-    if det != Observable.constant(1):
-        raise ValueError("matrix determinant is not 1; adjugate shortcut invalid")
-    inv = _zero_matrix()
-    for i in range(4):
-        for j in range(4):
-            cof = _minor(a, j, i)
-            inv[i][j] = cof if (i + j) % 2 == 0 else -cof
-    return inv
-
-
-class SymplecticStructure:
-    """Exact form matrix, its inverse, and the induced Poisson bivector.
-
-    ``matrix`` holds Omega in the coordinate basis (q1, q2, p1, p2):
-
-        [[ 0,  0,  1,  0],
-         [ 0,  0,  0,  1],
-         [-1,  0,  0,  theta],
-         [ 0, -1, -theta, 0]]
-
-    ``bivector`` is the Poisson tensor fixed by the coordinate brackets
-    above; it differs from the literal matrix inverse by a reflection of
-    the momentum rows and columns (see ``momentum_reflection``).
-    """
-
-    def __init__(self):
-        theta = _const(_THETA)
-        m = _zero_matrix()
-        m[0][2] = _const(1)
-        m[1][3] = _const(1)
-        m[2][0] = _const(-1)
-        m[3][1] = _const(-1)
-        m[2][3] = theta
-        m[3][2] = -theta
-        self.matrix = m
-        self.inverse = _inverse_unimodular(m)
-        r = self.momentum_reflection()
-        self.bivector = _matmul(_matmul(r, self.inverse), _transpose(r))
-
-    @staticmethod
-    def momentum_reflection():
-        r = _zero_matrix()
-        r[0][0] = _const(1)
-        r[1][1] = _const(1)
-        r[2][2] = _const(-1)
-        r[3][3] = _const(-1)
-        return r
-
-
-_STRUCTURE = SymplecticStructure()
-
-
 def form_matrix():
-    return [row[:] for row in _STRUCTURE.matrix]
+    return [list(row) for row in _FORM]
 
 
 def form_inverse():
-    return [row[:] for row in _STRUCTURE.inverse]
+    return [list(row) for row in _INVERSE]
 
 
 def poisson_bivector():
-    return [row[:] for row in _STRUCTURE.bivector]
+    return [list(row) for row in _BIVECTOR]
+
+
+def _contract(entries, vector) -> Observable:
+    return sum((entry * component for entry, component in zip(entries, vector)
+                if entry), Observable.zero())
 
 
 def poisson_bracket(f: Observable, g: Observable) -> Observable:
-    """Deformed bracket {f, g} = Pi^{ab} (d_a f)(d_b g), exact."""
-    pi = _STRUCTURE.bivector
+    """Deformed bracket {f, g} = Pi^{ab} (d_a f)(d_b g), exact.
+
+    With the bivector above this is the canonical bracket plus
+    theta (d_{q1}f d_{q2}g - d_{q2}f d_{q1}g).
+    """
     df = [f.diff(a) for a in range(4)]
     dg = [g.diff(b) for b in range(4)]
-    total = Observable.zero()
-    for a in range(4):
-        for b in range(4):
-            entry = pi[a][b]
-            if entry.is_zero:
-                continue
-            total = total + entry * df[a] * dg[b]
-    return total
+    return (df[0] * dg[2] - df[2] * dg[0] + df[1] * dg[3] - df[3] * dg[1]
+            + THETA * (df[0] * dg[1] - df[1] * dg[0]))
 
 
 def standard_poisson_bracket(f: Observable, g: Observable) -> Observable:
     """Undeformed bracket sum_i (d_{q^i}f d_{p_i}g - d_{p_i}f d_{q^i}g).
 
-    Written out directly rather than through the bivector so the two
-    routes stay independent checks of each other.
+    Written out apart from ``poisson_bracket`` so the two stay
+    independent checks of each other.
     """
     return (
         f.diff(0) * g.diff(2) - f.diff(2) * g.diff(0)
@@ -185,18 +94,8 @@ def hamiltonian_vector_field(f: Observable) -> list[Observable]:
     Solving Omega_{ab} xi^b = d_a f componentwise is xi = -Omega^{-1} df
     with the inverse acting on the index layout used here.
     """
-    minv = _STRUCTURE.inverse
     df = [f.diff(b) for b in range(4)]
-    xi = []
-    for a in range(4):
-        acc = Observable.zero()
-        for b in range(4):
-            entry = minv[a][b]
-            if entry.is_zero:
-                continue
-            acc = acc + entry * df[b]
-        xi.append(-acc)
-    return xi
+    return [-_contract(row, df) for row in _INVERSE]
 
 
 def contract_to_observable(xi: list[Observable]) -> Observable:
@@ -209,16 +108,7 @@ def contract_to_observable(xi: list[Observable]) -> Observable:
     """
     if len(xi) != 4:
         raise ValueError("vector field needs four components")
-    m = _STRUCTURE.matrix
-    alpha = []
-    for b in range(4):
-        acc = Observable.zero()
-        for a in range(4):
-            entry = m[a][b]
-            if entry.is_zero:
-                continue
-            acc = acc + xi[a] * entry
-        alpha.append(acc)
+    alpha = [_contract([row[b] for row in _FORM], xi) for b in range(4)]
     for a in range(4):
         for b in range(a + 1, 4):
             if alpha[b].diff(a) != alpha[a].diff(b):
@@ -239,13 +129,11 @@ def contract_to_observable(xi: list[Observable]) -> Observable:
 
 
 def _integrate_axis(obs: Observable, axis: int) -> Observable:
-    out = Observable.zero()
-    for key, coeff in obs.terms():
-        e = key[axis]
-        new_key = list(key)
-        new_key[axis] = e + 1
-        out = out + Observable.term(coeff * Fraction(1, e + 1), tuple(new_key))
-    return out
+    out = {}
+    for key, coeff in obs.flat_terms():
+        e = key[axis] + 1
+        out[key[:axis] + (e,) + key[axis + 1:]] = coeff / e
+    return Observable.from_flat(out)
 
 
 def bopp_shift(f: Observable) -> Observable:
@@ -255,9 +143,5 @@ def bopp_shift(f: Observable) -> Observable:
     plain coordinates under the standard bracket reproduce the deformed
     bracket relations.
     """
-    half_theta = Observable.constant(_THETA * HALF)
-    images = {
-        0: Q1 - half_theta * P2,
-        1: Q2 + half_theta * P1,
-    }
-    return f.substitute(images)
+    half_theta = HALF * THETA
+    return f.substitute({0: Q1 - half_theta * P2, 1: Q2 + half_theta * P1})

@@ -9,6 +9,7 @@ report serializes deterministically so runs can be diffed.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,7 +78,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.error <= self.tol
+        return math.isfinite(self.error) and self.error <= self.tol
 
 
 @dataclass
@@ -127,6 +128,11 @@ class SuiteReport:
             "pass": self.passed,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _worst(errors: list[float]) -> float:
+    """Largest error, or NaN if any is NaN (``max`` would drop it)."""
+    return math.nan if any(map(math.isnan, errors)) else max(errors)
 
 
 def _render(value):
@@ -358,12 +364,12 @@ def _check_representation(col: _Collector, rng: random.Random):
         col.add(f"ccr-{kind}", {"relations": len(results)},
                 worst.measured, worst.expected, worst.error, worst.tol)
 
-    worst_error = 0.0
+    errors = []
     for _ in range(50):
         e1 = random_algebra_element(rng, unit_box=True)
         e2 = random_algebra_element(rng, unit_box=True)
-        result = quantized_cocycle_check(packet, e1, e2)
-        worst_error = max(worst_error, result.error)
+        errors.append(quantized_cocycle_check(packet, e1, e2).error)
+    worst_error = _worst(errors)
     col.add("quantize-cocycle-consistency", {"trials": 50},
             worst_error, 0.0, worst_error, 1e-6)
 
@@ -390,7 +396,7 @@ def _check_representation(col: _Collector, rng: random.Random):
     fine = commutator_check(
         gaussian(fine_spec, sigma=1.2), "qq")[0].error
     col.add("grid-convergence", {"coarse_n": 128, "fine_n": 256},
-            fine, coarse, max(0.0, fine - coarse), 1e-12)
+            fine, coarse, _worst([0.0, fine - coarse]), 1e-12)
 
 
 def _check_dynamics(col: _Collector):

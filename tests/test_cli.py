@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ncplane.cli import main
 
 
@@ -120,6 +122,24 @@ class TestErrorPaths:
         code, _, err = run(capsys, "rep-check", "--box-l", "2")
         assert code == 3
         assert "leaks" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--time", "inf"), ("--time", "nan"), ("--time", "-1"),
+        ("--dt", "inf"), ("--dt", "0"), ("--dt", "x")])
+    def test_bad_duration_exits_2(self, capsys, flag, value):
+        argv = {"--time": "1", "--dt": "0.1", flag: value}
+        code, _, err = run(capsys, "evolve", "q1*p1", "--x0", "1,0,0,0",
+                           *[item for pair in argv.items() for item in pair])
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            f"argument {flag}: {value!r} is not a positive finite number")
+
+    def test_step_count_overflow_exits_3(self, capsys):
+        code, _, err = run(capsys, "evolve", "q1*p1", "--x0", "1,0,0,0",
+                           "--time", "1e300", "--dt", "1e-300")
+        assert code == 3
+        assert err.strip() == "error: t_final / dt is too large"
 
 
 class TestRepCheck:

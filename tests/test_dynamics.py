@@ -101,3 +101,8 @@ def test_bad_arguments():
         evolve(OSCILLATOR, (1.0, 0.0, 0.0, 0.0), theta=0.0, t_final=0.0, dt=0.1)
     with pytest.raises(ValueError):
         evolve(OSCILLATOR, (1.0, 0.0, 0.0, 0.0), theta=0.0, t_final=1.0, dt=-0.1)
+    for t_final, dt in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf),
+                        (1.0, math.nan), (1e300, 1e-300)):
+        with pytest.raises(ValueError):
+            evolve(OSCILLATOR, (1.0, 0.0, 0.0, 0.0), theta=0.0,
+                   t_final=t_final, dt=dt)

@@ -1,11 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncplane.expr import ParseError, format_observable, parse_observable
+from ncplane.expr import (
+    MAX_DEGREE,
+    ParseError,
+    format_observable,
+    parse_observable,
+)
 from ncplane.poly import HBAR, P1, P2, Q1, Q2, THETA, Observable, Scalar
 
 
@@ -76,6 +82,24 @@ class TestParseErrors:
             parse_observable(big)
         assert exc.value.offset == 65536
         assert parse_observable(big, max_bytes=200000) is not None
+
+    @pytest.mark.parametrize("source,offset", [
+        ("(q1+q2+p1+p2+theta+hbar)^100", 24),
+        ("((q1+q2)^9)^9", 11),
+        (f"q1^{MAX_DEGREE} * theta", len(f"q1^{MAX_DEGREE} ")),
+    ])
+    def test_degree_budget(self, source, offset):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_observable(source)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.offset == offset
+        assert str(MAX_DEGREE) in exc.value.expected
+
+    def test_degree_budget_is_inclusive(self):
+        assert parse_observable(f"q1^{MAX_DEGREE}") == Q1 ** MAX_DEGREE
+        product = parse_observable(f"q1^{MAX_DEGREE - 1}*theta")
+        assert product.degree() == MAX_DEGREE
 
     @given(st.text(max_size=40))
     @settings(max_examples=100, deadline=None)

@@ -144,11 +144,6 @@ class TestWeylRelations:
         assert checks["uw"].error < 1e-12
         assert checks["vw"].error < 1e-12
 
-    def test_hbar_weighted_convention_matches_at_unit_hbar(self):
-        checks = weyl_check(PACKET, a=(0.8, 0.3), b=(0.5, -0.7))
-        for check in checks.values():
-            assert check.hbar_weighted == pytest.approx(check.predicted)
-
     def test_zero_state_rejected(self):
         with pytest.raises(PhaseUndefined):
             weyl_check(zero_state(), a=(1.0, 0.0), b=(0.0, 1.0))

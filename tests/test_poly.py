@@ -86,6 +86,52 @@ class TestScalar:
         assert (a + (-a)).is_zero
 
 
+class TestFlatLayout:
+    def test_scalar_arithmetic_stays_scalar(self):
+        s = Scalar.theta() + Scalar.hbar()
+        for value in (s + s, s - s, s * s, s ** 3, -s, 2 * s, s + 1):
+            assert type(value) is Scalar
+        assert type(s * Q1) is Observable
+        assert type(Q1 + s) is Observable
+
+    def test_scalar_shares_the_observable_arithmetic(self):
+        for name in ("__add__", "__mul__", "__pow__"):
+            assert name not in vars(Scalar)
+
+    def test_one_map_of_six_exponents(self):
+        f = (Q1 + THETA) * (P2 - HBAR) + Observable.term(Scalar.theta(), (1, 0, 0, 0))
+        assert dict(f.flat_terms()) == {
+            (1, 0, 0, 1, 0, 0): 1,
+            (1, 0, 0, 0, 0, 1): -1,
+            (0, 0, 0, 1, 1, 0): 1,
+            (0, 0, 0, 0, 1, 1): -1,
+            (1, 0, 0, 0, 1, 0): 1,
+        }
+        assert all(type(coeff) is Fraction for _, coeff in f.flat_terms())
+        assert dict(f.terms())[(1, 0, 0, 0)] == Scalar.theta() - Scalar.hbar()
+        assert f.constant_part() == Scalar.term(-1, theta=1, hbar=1)
+        assert Observable.from_flat(dict(f.flat_terms())) == f
+
+    def test_pow_multiplies_only_what_binary_powering_needs(self, monkeypatch):
+        calls = []
+        original = Observable.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        x = Q1 + THETA
+        expected = ONE
+        for k in range(1, 18):
+            expected = expected * x
+            monkeypatch.setattr(Observable, "__mul__", counting)
+            calls.clear()
+            power = x ** k
+            monkeypatch.setattr(Observable, "__mul__", original)
+            assert power == expected
+            assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1
+
+
 class TestObservable:
     def test_coordinate_axes(self):
         assert Q1.coefficient((1, 0, 0, 0)) == Scalar.one()

@@ -1,8 +1,16 @@
 import json
+import math
+import random
 
 import pytest
 
-from ncplane.verify import RunConfig, run_suite
+from ncplane.verify import (
+    CheckResult,
+    RunConfig,
+    _check_representation,
+    _Collector,
+    run_suite,
+)
 
 FAST = RunConfig(grid_n=128, box_l=16.0, theta=0.25)
 
@@ -108,3 +116,19 @@ def test_tol_override_fails_numeric_checks():
 def test_seed_changes_inputs_not_outcomes():
     other = run_suite(RunConfig(grid_n=128, box_l=16.0, theta=0.25, seed=7))
     assert other.passed
+
+
+def test_non_finite_error_never_passes():
+    # not even against the infinite tolerance that `--tol inf` sets
+    for error in (math.nan, math.inf):
+        assert not CheckResult("x", {}, error, 0.0, error, math.inf).passed
+    assert CheckResult("x", {}, 0.5, 0.0, 0.5, math.inf).passed
+
+
+def test_nan_theta_fails_the_aggregated_grid_checks():
+    collector = _Collector(RunConfig(theta=math.nan, grid_n=64))
+    _check_representation(collector, random.Random(0))
+    checks = {check.name: check for check in collector.checks}
+    for name in ("quantize-cocycle-consistency", "grid-convergence"):
+        assert math.isnan(checks[name].error)
+        assert not checks[name].passed
