@@ -9,10 +9,10 @@ Grammar (whitespace-insensitive):
 
 ``IDENT`` is one of q1, q2, p1, p2, theta, hbar. Division is only defined
 by a nonzero rational constant. Numeric literals are integers or decimals
-and convert exactly to rationals. A product or power whose total degree
-over all six variables would exceed ``MAX_DEGREE`` is rejected before it
-is computed. All errors carry the byte offset of the offending token in
-the UTF-8 encoding of the source.
+and convert exactly to rationals. An exponent above ``MAX_DEGREE``, and a
+product or power whose total degree over all six variables would exceed
+it, are rejected before they are computed. All errors carry the byte
+offset of the offending token in the UTF-8 encoding of the source.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ MAX_SOURCE_BYTES = 65536
 # A dense polynomial of degree d in six variables has C(d + 6, 6) terms,
 # so the cost of one product grows like d^12. At this budget the densest
 # admitted power, (q1+q2+p1+p2+theta+hbar)^12, takes about a second.
+# It caps every exponent too: a constant power has degree 0, but 9^9999999
+# is a 32-Mbit integer.
 MAX_DEGREE = 12
 
 _IDENTS = {
@@ -166,6 +168,10 @@ class _Parser:
             if self.current.kind != "number" or self.current.value.denominator != 1:
                 self.fail("a nonnegative integer exponent")
             exponent = int(self.advance().value)
+            if exponent > MAX_DEGREE:
+                raise ParseError(caret.offset,
+                                 f"an exponent of at most {MAX_DEGREE}",
+                                 f"exponent {exponent} is too large")
             self.check_degree(value.degree() * exponent, caret)
             value = value ** exponent
         return value

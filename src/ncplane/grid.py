@@ -3,18 +3,23 @@
 States live on an n-by-n sample of the square [-l, l)^2 with axis 0 along
 q1 and axis 1 along q2. Derivatives and translations act spectrally, so
 smooth localized states are represented to near machine precision as long
-as their tails stay clear of the box edge.
+as their tails stay clear of the box edge. Every spectral operation is one
+call of ``fourier_multiply``: transform, scale by a Fourier multiplier,
+transform back.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 WFN_FORMAT = "wfn-json/1"
+# A complex n-by-n state takes 16 n^2 bytes: 64 MiB at this cap.
+MAX_GRID_N = 2048
 
 
 class TailOverflow(ValueError):
@@ -33,24 +38,36 @@ class GridSpec:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 16 or self.n & (self.n - 1):
             raise ValueError("n must be a power of two, at least 16")
+        if self.n > MAX_GRID_N:
+            raise ValueError(f"n must be at most {MAX_GRID_N}, got {self.n}")
+        for name in ("l", "theta", "hbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.l > 0:
             raise ValueError("box half-width l must be positive")
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
+        # The 1-D axis points and wavenumbers, shared read-only by every
+        # state and operator on this grid.
+        points = -self.l + self.step * np.arange(self.n)
+        wavenumbers = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.step)
+        for name, array in (("_points", points), ("_wavenumbers", wavenumbers)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def step(self) -> float:
         return 2.0 * self.l / self.n
 
     def axis_points(self) -> np.ndarray:
-        return -self.l + self.step * np.arange(self.n)
+        return self._points
 
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.axis_points()
+        q = self._points
         return np.meshgrid(q, q, indexing="ij")
 
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.step)
+        return self._wavenumbers
 
 
 @dataclass(frozen=True)
@@ -59,7 +76,21 @@ class Wavefunction:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.complex128, copy=True)
+        self._freeze(np.array(self.values, dtype=np.complex128, copy=True))
+
+    @classmethod
+    def adopt(cls, spec: GridSpec, values: np.ndarray) -> "Wavefunction":
+        """Wrap a freshly computed array without copying it.
+
+        The caller hands ``values`` over: nothing else may hold a reference
+        to it, because it becomes the state's read-only storage.
+        """
+        wfn = object.__new__(cls)
+        object.__setattr__(wfn, "spec", spec)
+        wfn._freeze(np.asarray(values, dtype=np.complex128))
+        return wfn
+
+    def _freeze(self, arr: np.ndarray):
         if arr.shape != (self.spec.n, self.spec.n):
             raise ValueError(
                 f"values must have shape ({self.spec.n}, {self.spec.n})")
@@ -81,26 +112,47 @@ def normalized(wfn: Wavefunction) -> Wavefunction:
     scale = norm(wfn)
     if scale == 0.0:
         raise ValueError("cannot normalize the zero state")
-    return Wavefunction(wfn.spec, wfn.values / scale)
+    return Wavefunction.adopt(wfn.spec, wfn.values / scale)
+
+
+def fourier_multiply(values: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """Return ifft(M * fft(values)) as a fresh array; M is the product of
+    the broadcast ``factors``.
+
+    Each factor is an ``(n, 1)``, ``(1, n)`` or ``(n, n)`` array, and the
+    transform runs only along the axes where some factor varies: one 1-D
+    ``fft``/``ifft`` pair when all of them lie along one axis, otherwise a
+    single ``fft2``/``ifft2`` pair. A separable multiplier passed as its
+    two 1-D factors is applied in place, without an n-by-n temporary.
+    """
+    axes = [axis for axis in (0, 1)
+            if any(factor.shape[axis] > 1 for factor in factors)]
+    if len(axes) == 2:
+        transformed = np.fft.fft2(values)
+    else:
+        transformed = np.fft.fft(values, axis=axes[0])
+    for factor in factors:
+        transformed *= factor
+    if len(axes) == 2:
+        return np.fft.ifft2(transformed)
+    return np.fft.ifft(transformed, axis=axes[0])
+
+
+def along(axis: int, vector: np.ndarray) -> np.ndarray:
+    """A 1-D array of per-axis values as an ``(n, 1)`` or ``(1, n)`` view."""
+    return vector[:, None] if axis == 0 else vector[None, :]
 
 
 def spectral_derivative(spec: GridSpec, values: np.ndarray, axis: int) -> np.ndarray:
-    k = spec.wavenumbers()
-    shape = [1, 1]
-    shape[axis] = spec.n
-    transformed = np.fft.fft(values, axis=axis)
-    transformed *= (1j * k).reshape(shape)
-    return np.fft.ifft(transformed, axis=axis)
+    return fourier_multiply(values, along(axis, 1j * spec.wavenumbers()))
 
 
 def spectral_translate(spec: GridSpec, values: np.ndarray,
                        shift: Sequence[float]) -> np.ndarray:
     """Evaluate psi(q - shift) by phase rotation in momentum space."""
     k = spec.wavenumbers()
-    transformed = np.fft.fft2(values)
-    transformed *= np.exp(-1j * k * shift[0]).reshape(spec.n, 1)
-    transformed *= np.exp(-1j * k * shift[1]).reshape(1, spec.n)
-    return np.fft.ifft2(transformed)
+    return fourier_multiply(values, along(0, np.exp(-1j * k * shift[0])),
+                            along(1, np.exp(-1j * k * shift[1])))
 
 
 def gaussian(spec: GridSpec, center: Sequence[float] = (0.0, 0.0),
@@ -119,12 +171,13 @@ def gaussian(spec: GridSpec, center: Sequence[float] = (0.0, 0.0),
             raise TailOverflow(
                 f"center {center[axis]} with sigma {sigma} leaks through "
                 f"the boundary on axis {axis}")
-    q1, q2 = spec.meshes()
-    envelope = np.exp(
-        -((q1 - center[0]) ** 2 + (q2 - center[1]) ** 2) / (4.0 * sigma ** 2))
-    phase = np.exp(1j * (momentum[0] * q1 + momentum[1] * q2))
-    wfn = Wavefunction(spec, envelope * phase)
-    return normalized(wfn)
+    q = spec.axis_points()
+    factors = [
+        np.exp(-(q - center[axis]) ** 2 / (4.0 * sigma ** 2)
+               + 1j * momentum[axis] * q)
+        for axis in range(2)
+    ]
+    return normalized(Wavefunction.adopt(spec, np.outer(*factors)))
 
 
 def wavefunction_to_json(wfn: Wavefunction) -> str:
@@ -167,4 +220,4 @@ def wavefunction_from_json(text: str) -> Wavefunction:
               + 1j * np.asarray(im, dtype=float)).reshape(spec.n, spec.n)
     if not np.all(np.isfinite(values)):
         raise ValueError("component arrays contain non-finite entries")
-    return Wavefunction(spec, values)
+    return Wavefunction.adopt(spec, values)

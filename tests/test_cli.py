@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,15 @@ class TestErrorPaths:
         assert code == 3
         assert "power of two" in err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--box-l", "inf", "l"), ("--grid-n", "4096", "n")])
+    def test_out_of_range_grid_exits_3(self, capsys, flag, value, field):
+        code, out, err = run(capsys, "rep-check", flag, value)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {field} must be")
+
     def test_blowup_exits_3(self, capsys):
         code, _, err = run(capsys, "evolve", "q1^2*p1", "--x0", "1,0,0,0",
                            "--time", "2", "--dt", "0.001")
@@ -191,3 +204,13 @@ class TestVerifyAll:
                            "--box-l", "16", "--tol", "1e-300")
         assert code == 1
         assert "FAIL" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "ncplane", "vf", "q1"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "q1: 0"

@@ -96,10 +96,22 @@ class TestParseErrors:
         assert exc.value.offset == offset
         assert str(MAX_DEGREE) in exc.value.expected
 
+    @pytest.mark.parametrize("source", ["9^9999999", f"2^{MAX_DEGREE + 1}",
+                                        f"q1 + (1/2)^{MAX_DEGREE + 1}"])
+    def test_exponent_cap_holds_on_constant_bases(self, source):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_observable(source)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.offset == source.index("^")
+        assert str(MAX_DEGREE) in exc.value.expected
+
     def test_degree_budget_is_inclusive(self):
         assert parse_observable(f"q1^{MAX_DEGREE}") == Q1 ** MAX_DEGREE
         product = parse_observable(f"q1^{MAX_DEGREE - 1}*theta")
         assert product.degree() == MAX_DEGREE
+        assert parse_observable(f"2^{MAX_DEGREE}") == Observable.constant(
+            2 ** MAX_DEGREE)
 
     @given(st.text(max_size=40))
     @settings(max_examples=100, deadline=None)

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from ncplane.grid import (
+    MAX_GRID_N,
     GridSpec,
     TailOverflow,
     Wavefunction,
@@ -38,6 +40,27 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(n=32, l=10.0, theta=0.0, hbar=0.0)
 
+    @pytest.mark.parametrize("field", ["l", "theta", "hbar"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_are_named(self, field, value):
+        fields = {"n": 32, "l": 10.0, "theta": 0.1, "hbar": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            GridSpec(**fields)
+
+    def test_size_cap(self):
+        # constructing the spec allocates only its two axis arrays
+        assert GridSpec(n=MAX_GRID_N, l=10.0, theta=0.0).n == MAX_GRID_N
+        with pytest.raises(ValueError, match=f"^n must be at most {MAX_GRID_N}"):
+            GridSpec(n=2 * MAX_GRID_N, l=10.0, theta=0.0)
+        with pytest.raises(ValueError, match="^n must be at most"):
+            GridSpec(n=2 ** 40, l=10.0, theta=0.0)
+
+    def test_axis_arrays_are_cached_and_frozen(self):
+        assert SPEC.wavenumbers() is SPEC.wavenumbers()
+        assert SPEC.axis_points() is SPEC.axis_points()
+        for array in (SPEC.wavenumbers(), SPEC.axis_points()):
+            assert not array.flags.writeable
+
     def test_negative_theta_is_fine(self):
         assert GridSpec(n=32, l=10.0, theta=-0.7).theta == -0.7
 
@@ -55,6 +78,15 @@ class TestWavefunction:
         assert not wfn.values.flags.writeable
         with pytest.raises(ValueError):
             wfn.values[0, 0] = 1.0
+
+    def test_holds_a_private_copy_of_the_callers_array(self):
+        values = gaussian(SPEC).values.copy()
+        wfn = Wavefunction(SPEC, values)
+        values[0, 0] = 7.0
+        values[SPEC.n // 2, SPEC.n // 2] = 7.0
+        assert wfn.values[0, 0] != 7.0
+        assert wfn.values[SPEC.n // 2, SPEC.n // 2] != 7.0
+        assert not wfn.values.flags.writeable
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -171,6 +203,15 @@ class TestSerialization:
         payload = json.loads(wavefunction_to_json(gaussian(spec, sigma=0.9)))
         payload["re"][3] = 1e400   # serializes as Infinity
         with pytest.raises(ValueError):
+            wavefunction_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("field, value", [
+        ("theta", math.nan), ("l", math.inf), ("n", 2 * MAX_GRID_N)])
+    def test_rejects_out_of_range_grid(self, field, value):
+        spec = GridSpec(n=16, l=8.0, theta=0.0)
+        payload = json.loads(wavefunction_to_json(gaussian(spec, sigma=0.9)))
+        payload[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             wavefunction_from_json(json.dumps(payload))
 
     def test_rejects_bad_grid_size(self):

@@ -6,6 +6,7 @@ import pytest
 
 from ncplane.grid import GridSpec, Wavefunction, gaussian, norm, spectral_translate
 from ncplane.heisenberg import AlgebraElement, algebra_bracket
+from ncplane.sampling import random_algebra_element
 from ncplane.operators import (
     PhaseUndefined,
     apply_momentum,
@@ -231,3 +232,90 @@ class TestQuantization:
         check = quantized_cocycle_check(PACKET, e1, e2)
         assert check.expected == -1j * SPEC.hbar
         assert check.passed
+
+
+class TestFourierMultiplierForm:
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        calls = {name: 0 for name in ("fft", "ifft", "fft2", "ifft2")}
+        for name in calls:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+
+        def take():
+            counts = dict(calls)
+            for name in calls:
+                calls[name] = 0
+            return counts
+
+        return take
+
+    @staticmethod
+    def pairs(one_axis=0, two_axis=0):
+        return {"fft": one_axis, "ifft": one_axis,
+                "fft2": two_axis, "ifft2": two_axis}
+
+    def test_quantize_apply_is_the_sum_of_its_parts(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            e = random_algebra_element(rng)
+            central = float(e.c) * SPEC.hbar + float(e.d) * SPEC.theta
+            expected = central * PACKET.values
+            for axis in range(2):
+                expected = (expected
+                            + float(e.a[axis]) * apply_momentum(PACKET, axis).values
+                            + float(e.b[axis]) * apply_position(PACKET, axis).values)
+            got = quantize_apply(e, PACKET).values
+            scale = np.linalg.norm(expected)
+            assert np.linalg.norm(got - expected) <= 1e-12 * scale
+
+    def test_generator_transforms(self, fft_calls):
+        generic = AlgebraElement(a=(Fraction(1, 2), Fraction(-3, 4)),
+                                 b=(Fraction(1, 3), Fraction(2)),
+                                 c=Fraction(1), d=Fraction(-1, 5))
+        quantize_apply(generic, PACKET)
+        # c1 k1 + c2 k2: one 1-D pair along each axis, no 2-D transform
+        assert fft_calls() == self.pairs(one_axis=2)
+        quantize_apply(AlgebraElement(a=(Fraction(1), Fraction(0))), PACKET)
+        assert fft_calls() == self.pairs(one_axis=1)
+        quantize_apply(AlgebraElement(c=Fraction(2), d=Fraction(1)), PACKET)
+        assert fft_calls() == self.pairs()
+        for axis in range(2):
+            apply_momentum(PACKET, axis)
+            assert fft_calls() == self.pairs(one_axis=1)
+            apply_position(PACKET, axis)
+            assert fft_calls() == self.pairs(one_axis=1)
+
+    def test_group_element_transforms(self, fft_calls):
+        apply_u(PACKET, (0.3, -0.2))
+        assert fft_calls() == self.pairs(two_axis=1)
+        apply_v(PACKET, (0.3, -0.2))
+        assert fft_calls() == self.pairs(two_axis=1)
+        apply_w(PACKET, 0.3, -0.2)
+        assert fft_calls() == self.pairs()
+
+    def test_checks_share_first_applications(self, fft_calls):
+        # u1 psi and v1 psi enter three relations each, but are made once
+        weyl_check(PACKET, a=(0.8, 0.3), b=(0.5, -0.7))
+        assert fft_calls() == self.pairs(two_axis=12)
+        commutator_check(PACKET, "qp")
+        assert fft_calls() == self.pairs(one_axis=12)
+        for kind in ("qq", "pp"):
+            commutator_check(PACKET, kind)
+            assert fft_calls() == self.pairs(one_axis=4)
+
+    def test_outputs_are_read_only(self):
+        element = AlgebraElement(a=(Fraction(1), Fraction(2)),
+                                 b=(Fraction(-1), Fraction(1, 2)), c=Fraction(1))
+        outputs = [apply_position(PACKET, 0), apply_momentum(PACKET, 1),
+                   apply_u(PACKET, (0.1, 0.2)), apply_v(PACKET, (0.1, 0.2)),
+                   apply_w(PACKET, 0.1, 0.2), quantize_apply(element, PACKET)]
+        for out in outputs:
+            assert not out.values.flags.writeable
+            with pytest.raises(ValueError):
+                out.values[0, 0] = 1.0

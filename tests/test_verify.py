@@ -9,6 +9,7 @@ from ncplane.verify import (
     RunConfig,
     _check_representation,
     _Collector,
+    _worst,
     run_suite,
 )
 
@@ -125,10 +126,15 @@ def test_non_finite_error_never_passes():
     assert CheckResult("x", {}, 0.5, 0.0, 0.5, math.inf).passed
 
 
-def test_nan_theta_fails_the_aggregated_grid_checks():
+def test_nan_theta_is_rejected_before_any_grid_check():
     collector = _Collector(RunConfig(theta=math.nan, grid_n=64))
-    _check_representation(collector, random.Random(0))
-    checks = {check.name: check for check in collector.checks}
-    for name in ("quantize-cocycle-consistency", "grid-convergence"):
-        assert math.isnan(checks[name].error)
-        assert not checks[name].passed
+    with pytest.raises(ValueError, match="theta must be finite"):
+        _check_representation(collector, random.Random(0))
+    assert collector.checks == []
+
+
+def test_worst_propagates_nan():
+    # max() would drop a NaN that is not in first place
+    assert math.isnan(_worst([0.0, math.nan, 1.0]))
+    assert math.isnan(_worst([math.nan]))
+    assert _worst([0.0, 2.0, 1.0]) == 2.0
