@@ -8,6 +8,7 @@ runtime failure (invalid grid geometry, non-finite trajectory).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -61,7 +62,10 @@ def _point(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational(part.strip()) for part in parts)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first call and reused: parse_args leaves the parser
+    # unchanged, and each call gets a fresh namespace.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--theta", type=_rational, default=Fraction(1, 10),
                         help="deformation parameter, decimal or ratio "

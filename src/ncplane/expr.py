@@ -9,17 +9,19 @@ Grammar (whitespace-insensitive):
 
 ``IDENT`` is one of q1, q2, p1, p2, theta, hbar. Division is only defined
 by a nonzero rational constant. Numeric literals are integers or decimals
-and convert exactly to rationals. An exponent above ``MAX_DEGREE``, and a
+and convert exactly to rationals. An exponent above ``MAX_DEGREE``, a
 product or power whose total degree over all six variables would exceed
-it, are rejected before they are computed. All errors carry the byte
-offset of the offending token in the UTF-8 encoding of the source.
+it, and a product or power whose coefficient sizes would add up to more
+than ``MAX_COEFF_BITS`` bits are rejected before they are computed, as is
+a literal of more than ``MAX_LITERAL_DIGITS`` digits. All errors carry the
+byte offset of the offending token in the UTF-8 encoding of the source.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import COORD_NAMES, Observable, Scalar
 
@@ -30,6 +32,15 @@ MAX_SOURCE_BYTES = 65536
 # It caps every exponent too: a constant power has degree 0, but 9^9999999
 # is a 32-Mbit integer.
 MAX_DEGREE = 12
+# The exponent cap alone lets constant powers nest: each level of
+# ((9^12)^12)^... multiplies the integer's size by 12. A product is
+# refused when the largest coefficient sizes (bits of numerator or
+# denominator) of its factors add up to more than this, and a power when
+# the base's times the exponent does.
+MAX_COEFF_BITS = 4096
+# 10^d < 2^(10d/3), so a literal of at most this many digits fits the
+# budget.
+MAX_LITERAL_DIGITS = MAX_COEFF_BITS * 3 // 10
 
 _IDENTS = {
     "q1": Observable.coordinate(0),
@@ -56,50 +67,57 @@ class ParseError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str        # "number", "ident", "op", "end"
     text: str
     offset: int      # byte offset of first char
     value: Fraction | None = None
 
 
-def _byte_offset(source: str, index: int) -> int:
-    return len(source[:index].encode("utf-8"))
-
-
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
     n = len(source)
+    # byte offset of source[mark]; advanced by encoding only the text
+    # between one token and the next, so tokenizing stays linear
+    mark = 0
+    mark_offset = 0
     while i < n:
         match = _TOKEN_RE.match(source, i)
-        if match is None or match.end() == match.start():
+        if match is None:
             # skip leading whitespace manually to report the real culprit
             j = i
             while j < n and source[j].isspace():
                 j += 1
             if j >= n:
                 break
-            raise ParseError(_byte_offset(source, j), "a token",
+            offset = mark_offset + len(source[mark:j].encode("utf-8"))
+            raise ParseError(offset, "a token",
                              f"unrecognized character {source[j]!r}")
         i = match.end()
-        start = match.start() + len(match.group(0)) - len(match.group(0).lstrip())
-        offset = _byte_offset(source, start)
-        if match.group("number") is not None:
-            text = match.group("number")
-            if "." in text:
-                whole, frac = text.split(".")
-                value = Fraction(int(whole + frac), 10 ** len(frac))
-            else:
-                value = Fraction(int(text))
-            tokens.append(_Token("number", text, offset, value))
-        elif match.group("ident") is not None:
-            tokens.append(_Token("ident", match.group("ident"), offset))
+        kind = match.lastgroup
+        start = match.start(kind)
+        mark_offset += len(source[mark:start].encode("utf-8"))
+        mark = start
+        text = match.group(kind)
+        if kind == "number":
+            whole, _, frac = text.partition(".")
+            if len(whole) + len(frac) > MAX_LITERAL_DIGITS:
+                raise ParseError(mark_offset,
+                                 f"a literal of at most {MAX_LITERAL_DIGITS} digits",
+                                 "numeric literal is too long")
+            value = Fraction(int(whole + frac), 10 ** len(frac))
+            tokens.append(_Token(kind, text, mark_offset, value))
         else:
-            tokens.append(_Token("op", match.group("op"), offset))
+            tokens.append(_Token(kind, text, mark_offset))
     tokens.append(_Token("end", "", len(source.encode("utf-8"))))
     return tokens
+
+
+def _coeff_bits(value: Observable) -> int:
+    """Bits of the largest numerator or denominator among the coefficients."""
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                for _, c in value.flat_terms()), default=0)
 
 
 class _Parser:
@@ -127,6 +145,13 @@ class _Parser:
             raise ParseError(op.offset, f"a total degree of at most {MAX_DEGREE}",
                              f"{op.text!r} would give degree {degree}")
 
+    def check_coeff_bits(self, bits: int, op: _Token):
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(op.offset,
+                             f"coefficients of at most {MAX_COEFF_BITS} bits",
+                             f"{op.text!r} would give coefficients of up to "
+                             f"{bits} bits")
+
     def parse_expr(self) -> Observable:
         value = self.parse_term()
         while self.current.kind == "op" and self.current.text in "+-":
@@ -143,6 +168,7 @@ class _Parser:
             rhs = self.parse_factor()
             if op.text == "*":
                 self.check_degree(value.degree() + rhs.degree(), op)
+                self.check_coeff_bits(_coeff_bits(value) + _coeff_bits(rhs), op)
                 value = value * rhs
             else:
                 if not rhs.is_constant:
@@ -155,6 +181,7 @@ class _Parser:
                 divisor = const.constant_value()
                 if divisor == 0:
                     raise ParseError(start, "a nonzero divisor", "division by zero")
+                self.check_coeff_bits(_coeff_bits(value) + _coeff_bits(rhs), op)
                 value = value * (Fraction(1) / divisor)
         return value
 
@@ -173,6 +200,7 @@ class _Parser:
                                  f"an exponent of at most {MAX_DEGREE}",
                                  f"exponent {exponent} is too large")
             self.check_degree(value.degree() * exponent, caret)
+            self.check_coeff_bits(_coeff_bits(value) * exponent, caret)
             value = value ** exponent
         return value
 
@@ -222,7 +250,7 @@ def _monomial_key(exponents: tuple[int, ...]) -> tuple:
     return (sum(exponents), tuple(-e for e in exponents))
 
 
-def _format_coeff_and_vars(coeff: Fraction, exponents: tuple[int, ...]) -> str:
+def _format_coeff_and_vars(num: int, den: int, exponents: tuple[int, ...]) -> str:
     # parameters render before coordinates: 1/2*theta*p2, not 1/2*p2*theta
     render_order = (4, 5, 0, 1, 2, 3)
     pieces = []
@@ -232,11 +260,11 @@ def _format_coeff_and_vars(coeff: Fraction, exponents: tuple[int, ...]) -> str:
             continue
         name = _VAR_NAMES[idx]
         pieces.append(f"{name}^{e}" if e > 1 else name)
-    magnitude = abs(coeff)
+    magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
     if not pieces:
-        return str(magnitude)
-    if magnitude != 1:
-        pieces.insert(0, str(magnitude))
+        return magnitude
+    if magnitude != "1":
+        pieces.insert(0, magnitude)
     return "*".join(pieces)
 
 
@@ -251,9 +279,10 @@ def format_observable(obs: Observable) -> str:
     parts = []
     for key in sorted(flat, key=_monomial_key):
         coeff = flat[key]
-        body = _format_coeff_and_vars(coeff, key)
+        num = coeff.numerator
+        body = _format_coeff_and_vars(num, coeff.denominator, key)
         if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
+            parts.append(body if num > 0 else "-" + body)
         else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
+            parts.append(("+ " if num > 0 else "- ") + body)
     return " ".join(parts)

@@ -20,6 +20,7 @@ to end.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -186,16 +187,31 @@ class Observable:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[Key, Fraction] = {}
-        get = out.get
-        right = list(rhs._terms.items())
+        # Each output key accumulates an integer (numerator, denominator)
+        # pair, combined over the lcm of the denominators; every surviving
+        # sum becomes a Fraction (and is reduced) once, at the end.
+        acc: dict[Key, tuple[int, int]] = {}
+        get = acc.get
+        right = [(key, c.numerator, c.denominator)
+                 for key, c in rhs._terms.items()]
         for (a0, a1, a2, a3, a4, a5), c1 in self._terms.items():
-            for (b0, b1, b2, b3, b4, b5), c2 in right:
+            n1 = c1.numerator
+            d1 = c1.denominator
+            for (b0, b1, b2, b3, b4, b5), n2, d2 in right:
                 key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
                 prev = get(key)
-                out[key] = c1 * c2 if prev is None else prev + c1 * c2
+                den = d1 * d2
+                if prev is None:
+                    acc[key] = (n1 * n2, den)
+                elif prev[1] == den:
+                    acc[key] = (prev[0] + n1 * n2, den)
+                else:
+                    num, d = prev
+                    g = gcd(d, den)
+                    acc[key] = (num * (den // g) + n1 * n2 * (d // g),
+                                d // g * den)
         return _result_type(self, rhs)._new(
-            {key: coeff for key, coeff in out.items() if coeff})
+            {key: Fraction(num, den) for key, (num, den) in acc.items() if num})
 
     __rmul__ = __mul__
 

@@ -310,10 +310,14 @@ def _check_group(col: _Collector, rng: random.Random):
     col.exact("algebra-jacobi", 200, failures)
 
 
+def _grid_spec(config: RunConfig) -> GridSpec:
+    return GridSpec(n=config.grid_n, l=config.box_l,
+                    theta=config.theta, hbar=config.hbar)
+
+
 def _check_representation(col: _Collector, rng: random.Random):
     config = col.config
-    spec = GridSpec(n=config.grid_n, l=config.box_l,
-                    theta=config.theta, hbar=config.hbar)
+    spec = _grid_spec(config)
     packet = gaussian(spec, center=(0.5, -1.0), sigma=1.2, momentum=(0.6, -0.4))
     base_norm = norm(packet)
 
@@ -413,6 +417,7 @@ def _check_dynamics(col: _Collector):
 
 def run_suite(config: RunConfig | None = None) -> SuiteReport:
     config = config or RunConfig()
+    _grid_spec(config)  # reject a bad grid before any layer runs
     rng = random.Random(config.seed)
     collector = _Collector(config)
     _check_bracket_algebra(collector, rng)

@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -107,6 +109,13 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "bracket", "q1", "q2", "--point", "1,2")
         assert code == 2
 
+    def test_over_long_literal_exits_2(self, capsys):
+        code, out, err = run(capsys, "bracket", "q1", "1" * 5000)
+        assert code == 2
+        assert out == ""
+        assert "byte offset 0" in err
+        assert "numeric literal is too long" in err
+
     def test_missing_subcommand_exits_2(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
@@ -184,6 +193,37 @@ class TestEvolve:
         assert max(abs(e - energies[0]) for e in energies) < 1e-10
 
 
+class TestRepeatedCalls:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        run(capsys, "bracket", "q1", "p1")
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (["bracket", "q1", "p1"], ["vf", "q1"], ["bopp", "q1"]):
+            assert run(capsys, *argv)[0] == 0
+        assert built == []
+
+    def test_options_do_not_leak_between_calls(self, capsys):
+        code, out, _ = run(capsys, "bracket", "--point", "1,2,3,4", "q1", "p1")
+        assert code == 0
+        assert out.splitlines() == ["1", "value at (1, 2, 3, 4), theta=1/10: 1"]
+        code, out, _ = run(capsys, "bracket", "q1", "p1")
+        assert code == 0
+        assert out.splitlines() == ["1"]
+
+    def test_errors_repeat_unchanged(self, capsys):
+        first = run(capsys, "bracket", "q1", "q2", "--point", "1,2")
+        second = run(capsys, "bracket", "q1", "q2", "--point", "1,2")
+        assert first == second
+        assert first[0] == 2
+        assert "point must be four comma-separated numbers" in first[2]
+
+
 class TestVerifyAll:
     def test_text_report(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--grid-n", "128",
@@ -204,6 +244,14 @@ class TestVerifyAll:
                            "--box-l", "16", "--tol", "1e-300")
         assert code == 1
         assert "FAIL" in out
+
+    def test_bad_grid_exits_3_before_any_check(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify-all", "--box-l", "inf")
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out == ""
+        assert err.strip() == "error: l must be finite"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncplane.expr import (
+    MAX_COEFF_BITS,
     MAX_DEGREE,
+    MAX_LITERAL_DIGITS,
     ParseError,
     format_observable,
     parse_observable,
@@ -113,6 +115,51 @@ class TestParseErrors:
         assert parse_observable(f"2^{MAX_DEGREE}") == Observable.constant(
             2 ** MAX_DEGREE)
 
+    def test_nested_constant_powers_are_bounded(self):
+        source = "((((((9^12)^12)^12)^12)^12)^12)"
+        assert len(source.encode("utf-8")) == 31
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_observable(source)
+        assert time.perf_counter() - start < 0.1
+        # 9^144 has 457 bits, and 12 times that is over the budget
+        assert exc.value.offset == 15 == source.index("^", 12)
+        assert str(MAX_COEFF_BITS) in exc.value.expected
+        assert parse_observable("(9^12)^12") == Observable.constant(9 ** 144)
+        assert parse_observable("2^12") == Observable.constant(2 ** 12)
+
+    @pytest.mark.parametrize("op", ["*", "/"])
+    def test_coefficient_budget_holds_on_products(self, op):
+        # 3^1728 has 2739 bits: one is within the budget, a product of two
+        # is not
+        big = "((3^12)^12)^12"
+        source = f"{big} * q1 {op} {big}"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_observable(source)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.offset == source.index(op, len(big) + 2)
+        assert parse_observable(f"{big} * q1") == \
+            Observable.constant(3 ** 1728) * Q1
+
+    def test_over_long_literals(self):
+        longest = "7" * MAX_LITERAL_DIGITS
+        assert parse_observable(longest) == Observable.constant(int(longest))
+        for source, offset in [("q1 + " + "1" * 5000, 5),
+                               ("1" * (MAX_LITERAL_DIGITS + 1), 0),
+                               ("q1 + 0." + "0" * MAX_LITERAL_DIGITS, 5)]:
+            with pytest.raises(ParseError) as exc:
+                parse_observable(source)
+            assert exc.value.offset == offset
+            assert str(MAX_LITERAL_DIGITS) in exc.value.expected
+
+    def test_offsets_after_many_multibyte_characters(self):
+        # each U+00A0 is whitespace two bytes wide
+        source = "q1\u00a0+\u00a0" * 2000 + "q3"
+        with pytest.raises(ParseError) as exc:
+            parse_observable(source)
+        assert exc.value.offset == len(source.encode("utf-8")) - 2
+
     @given(st.text(max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_never_crashes_outside_parse_error(self, source):
@@ -141,6 +188,17 @@ class TestFormat:
         assert format_observable(Q1 * Q2) == "q1*q2"
         assert format_observable(-Q1) == "-q1"
         assert format_observable(Observable.constant(1)) == "1"
+
+    def test_fractional_coefficients(self):
+        f = Observable.from_flat({
+            (0, 0, 0, 0, 0, 0): Fraction(-3, 4),
+            (1, 0, 0, 0, 0, 0): Fraction(1, 2),
+            (0, 1, 0, 0, 0, 0): Fraction(-1, 3),
+            (0, 0, 1, 0, 1, 0): Fraction(-7),
+        })
+        assert format_observable(f) == "-3/4 + 1/2*q1 - 1/3*q2 - 7*theta*p1"
+        assert format_observable(Observable.constant(Fraction(1, 5))) == "1/5"
+        assert format_observable(Observable.constant(-1)) == "-1"
 
 
 def random_observable(rng, max_degree=4, max_terms=5):

@@ -132,6 +132,63 @@ class TestFlatLayout:
             assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1
 
 
+def flat_observables_st():
+    # exponents 0..1 and denominators 1..12, so products collide on keys
+    # whose summands have different denominators
+    keys = st.tuples(*[st.integers(0, 1)] * 6)
+    return st.builds(
+        Observable.from_flat,
+        st.dictionaries(keys, fractions_st(max_num=9, max_den=12), max_size=6),
+    )
+
+
+def reference_product(f, g):
+    out = {}
+    for ka, ca in f.flat_terms():
+        for kb, cb in g.flat_terms():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+class TestIntegerAccumulation:
+    @given(flat_observables_st(), flat_observables_st(), flat_observables_st())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_plain_fraction_double_loop(self, f, g, h):
+        # (g + h) * (g - h) cancels the cross terms g*h - h*g to zero
+        for left, right in ((f, g), (g + h, g - h), (f, f)):
+            product = dict((left * right).flat_terms())
+            assert product == reference_product(left, right)
+            assert all(type(coeff) is Fraction and coeff
+                       for coeff in product.values())
+
+    def test_cancelling_sums_of_mixed_denominators(self):
+        f = Observable.from_flat({(1, 0, 0, 0, 0, 0): Fraction(1, 2),
+                                  (0, 1, 0, 0, 0, 0): Fraction(1, 3)})
+        g = Observable.from_flat({(0, 1, 0, 0, 0, 0): Fraction(3, 4),
+                                  (1, 0, 0, 0, 0, 0): Fraction(-1, 2)})
+        # q1*q2: 1/2 * 3/4 - 1/3 * 1/2 = 3/8 - 1/6 = 5/24
+        assert dict((f * g).flat_terms()) == {
+            (2, 0, 0, 0, 0, 0): Fraction(-1, 4),
+            (1, 1, 0, 0, 0, 0): Fraction(5, 24),
+            (0, 2, 0, 0, 0, 0): Fraction(1, 4),
+        }
+        h = Observable.from_flat({(1, 0, 0, 0, 0, 0): Fraction(1, 6),
+                                  (0, 1, 0, 0, 0, 0): Fraction(-1, 4)})
+        # q1*q2: 1/2 * -1/4 + 1/3 * 1/6 = -1/8 + 1/18, over the lcm 72
+        assert (f * h).coefficient((1, 1, 0, 0)) == Scalar.from_rational(
+            Fraction(-5, 72))
+        assert (f * (g - g)).is_zero
+
+    def test_scalar_times_scalar_stays_scalar(self):
+        a = Scalar.term(Fraction(1, 2), theta=1) + Scalar.term(Fraction(2, 3))
+        b = Scalar.term(Fraction(3, 4), hbar=1) - Scalar.term(Fraction(5, 6))
+        for product in (a * b, a * (b - b), a * Fraction(1, 7), 3 * a):
+            assert type(product) is Scalar
+        assert (a * b).coefficient(theta=1, hbar=1) == Fraction(3, 8)
+        assert (a * b).coefficient() == Fraction(-5, 9)
+
+
 class TestObservable:
     def test_coordinate_axes(self):
         assert Q1.coefficient((1, 0, 0, 0)) == Scalar.one()

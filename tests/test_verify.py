@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ncplane import verify
 from ncplane.verify import (
     CheckResult,
     RunConfig,
@@ -131,6 +132,22 @@ def test_nan_theta_is_rejected_before_any_grid_check():
     with pytest.raises(ValueError, match="theta must be finite"):
         _check_representation(collector, random.Random(0))
     assert collector.checks == []
+
+
+@pytest.mark.parametrize("field, value", [
+    ("box_l", math.inf), ("theta", math.nan), ("grid_n", 100)])
+def test_bad_grid_is_rejected_before_any_layer_runs(monkeypatch, field, value):
+    ran = []
+    for name in ("_check_bracket_algebra", "_check_group",
+                 "_check_representation", "_check_dynamics"):
+        monkeypatch.setattr(verify, name,
+                            lambda col, *args, name=name: ran.append(name))
+    with pytest.raises(ValueError):
+        run_suite(RunConfig(**{field: value}))
+    assert ran == []
+    # the same patched suite runs every layer on a good grid
+    run_suite(RunConfig(grid_n=64))
+    assert len(ran) == 4
 
 
 def test_worst_propagates_nan():
