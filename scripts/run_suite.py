@@ -9,7 +9,7 @@ failure.
 import argparse
 import sys
 
-from ncplane.verify import RunConfig, run_suite
+from ncplane.verify import RunConfig, _worst, run_suite
 
 
 def main() -> int:
@@ -31,7 +31,8 @@ def main() -> int:
                            grid_n=args.grid_n, box_l=args.box_l, seed=seed)
         report = run_suite(config)
         for check in report.checks:
-            worst[check.name] = max(worst.get(check.name, 0.0), check.error)
+            worst[check.name] = _worst([worst.get(check.name, 0.0),
+                                        check.error])
             if not check.passed:
                 failed = True
                 print(f"seed {seed}: FAIL {check.name} "

@@ -181,18 +181,14 @@ def _cmd_bopp(args) -> int:
     return 0
 
 
-def _split_elements(values) -> tuple[AlgebraElement, AlgebraElement]:
-    first, second = values[:6], values[6:]
-    return (
-        AlgebraElement((first[0], first[1]), (first[2], first[3]),
-                       first[4], first[5]),
-        AlgebraElement((second[0], second[1]), (second[2], second[3]),
-                       second[4], second[5]),
-    )
+def _elements(values) -> list[AlgebraElement]:
+    """One element per run of six values a1 a2 b1 b2 c d."""
+    return [AlgebraElement((a1, a2), (b1, b2), c, d)
+            for a1, a2, b1, b2, c, d in zip(*[iter(values)] * 6)]
 
 
 def _cmd_cocycle(args) -> int:
-    e1, e2 = _split_elements(args.element)
+    e1, e2 = _elements(args.element)
     z1, z2 = extract_cocycle(e1, e2)
     central = Scalar.term(z1) + Scalar.term(z2, theta=1)
     doubled = cocycle_double_sum(e1, e2)
@@ -211,20 +207,14 @@ def _format_group_element(g: GroupElement) -> str:
 
 
 def _cmd_grouplaw(args) -> int:
-    values = args.element
-    g1 = GroupElement((values[0], values[1]), (values[2], values[3]),
-                      values[4], values[5])
-    g2 = GroupElement((values[6], values[7]), (values[8], values[9]),
-                      values[10], values[11])
+    g1, g2 = _elements(args.element)
     print(f"product: {_format_group_element(group_multiply(g1, g2))}")
     print(f"commutator: {_format_group_element(group_commutator(g1, g2))}")
     return 0
 
 
 def _cmd_momentmap(args) -> int:
-    values = args.element
-    element = AlgebraElement((values[0], values[1]), (values[2], values[3]),
-                             values[4], values[5])
+    (element,) = _elements(args.element)
     print(format_observable(moment_map(element)))
     return 0
 
@@ -234,20 +224,17 @@ def _cmd_rep_check(args) -> int:
                     theta=float(args.theta), hbar=float(args.hbar))
     packet = gaussian(spec, center=(0.5, -1.0), sigma=1.2,
                       momentum=(0.6, -0.4))
+    checks = [(f"weyl-{name}", check) for name, check
+              in weyl_check(packet, (0.8, 0.3), (0.5, -0.7)).items()]
+    checks += [(f"ccr {check.name}", check) for kind in ("qq", "pp", "qp")
+               for check in commutator_check(packet, kind)]
     failures = 0
-    for name, check in weyl_check(packet, (0.8, 0.3), (0.5, -0.7)).items():
+    for label, check in checks:
         tol = args.tol if args.tol is not None else check.tol
         passed = check.error <= tol
         failures += 0 if passed else 1
-        print(f"{'PASS' if passed else 'FAIL'} weyl-{name}: "
+        print(f"{'PASS' if passed else 'FAIL'} {label}: "
               f"error={check.error:.3e} tol={tol:.3e}")
-    for kind in ("qq", "pp", "qp"):
-        for check in commutator_check(packet, kind):
-            tol = args.tol if args.tol is not None else check.tol
-            passed = check.error <= tol
-            failures += 0 if passed else 1
-            print(f"{'PASS' if passed else 'FAIL'} ccr {check.name}: "
-                  f"error={check.error:.3e} tol={tol:.3e}")
     return 0 if failures == 0 else 1
 
 
@@ -268,7 +255,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_verify_all(args) -> int:
     config = RunConfig(theta=float(args.theta), hbar=float(args.hbar),
                        grid_n=args.grid_n, box_l=args.box_l, seed=args.seed,
-                       tol=args.tol, fmt=args.format)
+                       tol=args.tol)
     report = run_suite(config)
     if args.format == "json":
         print(report.to_json())

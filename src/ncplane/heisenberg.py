@@ -7,7 +7,9 @@ Both obstructions are 2-cocycles on the abelian translation algebra:
     z1(e, e') = b_i a'^i - b'_i a^i        (position/momentum mixing)
     z2(e, e') = b_1 b'_2 - b_2 b'_1        (momentum/momentum mixing)
 
-The extended group multiplies as
+The group is two-step nilpotent, so its exponential coordinates are the
+algebra's coordinates: a group element is the ``AlgebraElement`` it is the
+exponential of, and the extended group multiplies as
 
     (a, b, c, d)(a', b', c', d') =
         (a + a', b + b',
@@ -63,12 +65,8 @@ class AlgebraElement:
         )
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    a: Pair = (0, 0)
-    b: Pair = (0, 0)
-    c: Fraction | int | float = 0
-    d: Fraction | int | float = 0
+# BCH, two-step nilpotent: exp(e1) exp(e2) = exp(e1 + e2 + [e1, e2] / 2)
+GroupElement = AlgebraElement
 
 
 def group_identity() -> GroupElement:

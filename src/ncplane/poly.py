@@ -135,10 +135,6 @@ class Observable:
     def is_constant(self) -> bool:
         return all(key[:4] == _ZERO_MONO for key in self._terms)
 
-    def coordinate_degree(self) -> int:
-        """Total degree in the coordinates, ignoring theta and hbar."""
-        return max((sum(key[:4]) for key in self._terms), default=0)
-
     def degree(self) -> int:
         """Total degree over all six variables, theta and hbar included."""
         return max((sum(key) for key in self._terms), default=0)

@@ -1,4 +1,4 @@
-"""Seeded random generators for observables and group elements.
+"""Seeded random generators for observables and algebra elements.
 
 The verification suite and the test corpus both need reproducible random
 inputs; centralizing the generators keeps their distributions identical
@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .heisenberg import AlgebraElement, GroupElement
+from .heisenberg import AlgebraElement
 from .poly import Observable, Scalar
 
 
@@ -48,13 +48,4 @@ def random_algebra_element(rng: random.Random, unit_box: bool = False) -> Algebr
         b=(draw(), draw()),
         c=draw(),
         d=draw(),
-    )
-
-
-def random_group_element(rng: random.Random) -> GroupElement:
-    return GroupElement(
-        a=(random_fraction(rng), random_fraction(rng)),
-        b=(random_fraction(rng), random_fraction(rng)),
-        c=random_fraction(rng),
-        d=random_fraction(rng),
     )

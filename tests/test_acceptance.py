@@ -16,7 +16,6 @@ from ncplane.expr import ParseError, format_observable, parse_observable
 from ncplane.grid import GridSpec, gaussian
 from ncplane.heisenberg import (
     AlgebraElement,
-    GroupElement,
     extract_cocycle,
     group_commutator,
 )
@@ -115,8 +114,7 @@ def test_criterion_4_group_commutator_matches_cocycle(announce):
     for _ in range(trials):
         e1 = random_algebra_element(rng)
         e2 = random_algebra_element(rng)
-        comm = group_commutator(GroupElement(e1.a, e1.b, e1.c, e1.d),
-                                GroupElement(e2.a, e2.b, e2.c, e2.d))
+        comm = group_commutator(e1, e2)
         if (comm.c, comm.d) != extract_cocycle(e1, e2):
             failures += 1
     known = (

@@ -224,16 +224,26 @@ class TestRepeatedCalls:
         assert "point must be four comma-separated numbers" in first[2]
 
 
+@pytest.fixture
+def shared_suite(monkeypatch, cached_run_suite):
+    """Route verify-all through the session's cached suite runs."""
+    monkeypatch.setattr("ncplane.cli.run_suite", cached_run_suite)
+
+
 class TestVerifyAll:
-    def test_text_report(self, capsys):
-        code, out, _ = run(capsys, "verify-all", "--grid-n", "128",
-                           "--box-l", "16")
+    # --theta 0.25 --grid-n 128 --box-l 16 is test_verify's FAST config, so
+    # the text and json tests share its report; test_strict_tolerance_fails
+    # runs the suite end to end
+    def test_text_report(self, capsys, shared_suite):
+        code, out, _ = run(capsys, "verify-all", "--theta", "0.25",
+                           "--grid-n", "128", "--box-l", "16")
         assert code == 0
         assert out.splitlines()[-1].startswith("PASS overall")
 
-    def test_json_report(self, capsys):
-        code, out, _ = run(capsys, "verify-all", "--grid-n", "128",
-                           "--box-l", "16", "--format", "json")
+    def test_json_report(self, capsys, shared_suite):
+        code, out, _ = run(capsys, "verify-all", "--theta", "0.25",
+                           "--grid-n", "128", "--box-l", "16",
+                           "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["pass"] is True

@@ -21,7 +21,7 @@ from ncplane.heisenberg import (
     moment_map,
 )
 from ncplane.poly import Observable, Scalar
-from ncplane.sampling import random_algebra_element, random_group_element
+from ncplane.sampling import random_algebra_element
 
 
 def fractions_st(max_num=10, max_den=6):
@@ -29,17 +29,6 @@ def fractions_st(max_num=10, max_den=6):
         Fraction,
         st.integers(min_value=-max_num, max_value=max_num),
         st.integers(min_value=1, max_value=max_den),
-    )
-
-
-def group_elements_st():
-    f = fractions_st()
-    return st.builds(
-        GroupElement,
-        st.tuples(f, f),
-        st.tuples(f, f),
-        f,
-        f,
     )
 
 
@@ -55,14 +44,14 @@ def algebra_elements_st():
 
 
 class TestGroupLaw:
-    @given(group_elements_st(), group_elements_st(), group_elements_st())
+    @given(algebra_elements_st(), algebra_elements_st(), algebra_elements_st())
     @settings(max_examples=80, deadline=None)
     def test_associativity(self, g1, g2, g3):
         left = group_multiply(group_multiply(g1, g2), g3)
         right = group_multiply(g1, group_multiply(g2, g3))
         assert left == right
 
-    @given(group_elements_st())
+    @given(algebra_elements_st())
     def test_identity_and_inverse(self, g):
         e = group_identity()
         assert group_multiply(g, e) == g
@@ -85,16 +74,24 @@ class TestGroupLaw:
         assert group_multiply(g1, g2).d == Fraction(1, 2)
         assert group_multiply(g2, g1).d == Fraction(-1, 2)
 
+    @given(algebra_elements_st(), algebra_elements_st())
+    @settings(max_examples=80, deadline=None)
+    def test_product_is_bch_in_exponential_coordinates(self, e1, e2):
+        # why one element type serves the group and its algebra
+        assert GroupElement is AlgebraElement
+        bch = e1 + e2 + algebra_bracket(e1, e2).scale(Fraction(1, 2))
+        assert group_multiply(e1, e2) == bch
+
     def test_commutator_lands_in_center(self):
         rng = random.Random(21)
         for _ in range(100):
-            g1 = random_group_element(rng)
-            g2 = random_group_element(rng)
+            g1 = random_algebra_element(rng)
+            g2 = random_algebra_element(rng)
             comm = group_commutator(g1, g2)
             assert comm.a == (0, 0)
             assert comm.b == (0, 0)
 
-    @given(group_elements_st(), group_elements_st())
+    @given(algebra_elements_st(), algebra_elements_st())
     @settings(max_examples=80, deadline=None)
     def test_commutator_closed_form(self, g1, g2):
         comm = group_commutator(g1, g2)
@@ -224,8 +221,6 @@ class TestAlgebraBracket:
         for _ in range(100):
             e1 = random_algebra_element(rng)
             e2 = random_algebra_element(rng)
-            g1 = GroupElement(e1.a, e1.b, e1.c, e1.d)
-            g2 = GroupElement(e2.a, e2.b, e2.c, e2.d)
-            comm = group_commutator(g1, g2)
+            comm = group_commutator(e1, e2)
             bracket = algebra_bracket(e1, e2)
             assert (comm.c, comm.d) == (bracket.c, bracket.d)

@@ -226,11 +226,6 @@ class TestObservable:
         with pytest.raises(ValueError):
             ONE.evaluate((1, 2, 3))
 
-    def test_coordinate_degree(self):
-        assert (Q1 * Q2 * P1).coordinate_degree() == 3
-        assert THETA.coordinate_degree() == 0
-        assert Observable.zero().coordinate_degree() == 0
-
     @given(observables_st(), observables_st(), observables_st())
     @settings(max_examples=50, deadline=None)
     def test_ring_laws(self, f, g, h):

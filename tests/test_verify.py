@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from ncplane import verify
 from ncplane.verify import (
     CheckResult,
     RunConfig,
+    SuiteReport,
     _check_representation,
     _Collector,
     _worst,
@@ -54,8 +57,8 @@ EXPECTED_CHECKS = {
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_suite(FAST)
+def report(cached_run_suite):
+    return cached_run_suite(FAST)
 
 
 def test_suite_passes(report):
@@ -155,3 +158,48 @@ def test_worst_propagates_nan():
     assert math.isnan(_worst([0.0, math.nan, 1.0]))
     assert math.isnan(_worst([math.nan]))
     assert _worst([0.0, 2.0, 1.0]) == 2.0
+
+
+def _failing_checks(check_layer) -> dict:
+    collector = _Collector(FAST)
+    check_layer(collector, random.Random(0))
+    return {check.name: check.error for check in collector.checks
+            if not check.passed}
+
+
+def test_bracket_table_sees_a_patched_bracket(monkeypatch):
+    # a bracket without its theta term: the checks that call it directly
+    # still see antisymmetry, Leibniz, Jacobi and the theta = 0 limit hold
+    monkeypatch.setattr(verify, "poisson_bracket",
+                        verify.standard_poisson_bracket)
+    failing = _failing_checks(verify._check_bracket_algebra)
+    assert set(failing) == {"noncommutative-coordinate-brackets",
+                            "bopp-oracle-equivalence"}
+    assert all(error > 0 for error in failing.values())
+
+
+def test_group_table_sees_a_patched_inverse(monkeypatch):
+    # group_commutator inverts through heisenberg's own name, so only the
+    # check that calls verify.group_inverse may fail
+    monkeypatch.setattr(verify, "group_inverse", lambda g: g)
+    failing = _failing_checks(verify._check_group)
+    assert set(failing) == {"group-inverse"}
+    assert failing["group-inverse"] > 0
+
+
+def test_run_suite_script_keeps_a_nan_worst_error(monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_suite.py"
+    spec = importlib.util.spec_from_file_location("run_suite_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def fake_run_suite(config):
+        error = math.nan if config.seed == 1 else 0.0
+        check = CheckResult("x", {}, error, 0.0, error, 1.0)
+        return SuiteReport(config, [check])
+
+    monkeypatch.setattr(script, "run_suite", fake_run_suite)
+    monkeypatch.setattr("sys.argv",
+                        ["run_suite.py", "--seeds", "2", "--verbose"])
+    assert script.main() == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "x  worst error nan"
