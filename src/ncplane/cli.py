@@ -2,7 +2,12 @@
 
 Exit codes: 0 success, 1 a verification or representation check failed,
 2 malformed input (expression syntax or bad arguments), 3 a numeric
-runtime failure (invalid grid geometry, non-finite trajectory).
+runtime failure (invalid grid geometry, non-finite trajectory, a number
+out of float range).
+
+Only the exact layers are imported here. ``rep-check`` and ``verify-all``
+import the grid layers, and with them numpy, when they run, so the exact
+commands start without them.
 """
 
 from __future__ import annotations
@@ -10,12 +15,17 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
 
 from .dynamics import NonFiniteState, compile_observable, evolve
-from .expr import ParseError, format_observable, parse_observable
-from .grid import GridSpec, gaussian
+from .expr import (
+    MAX_LITERAL_DIGITS,
+    ParseError,
+    format_observable,
+    parse_observable,
+)
 from .heisenberg import (
     AlgebraElement,
     GroupElement,
@@ -25,18 +35,43 @@ from .heisenberg import (
     group_multiply,
     moment_map,
 )
-from .operators import commutator_check, weyl_check
 from .poly import COORD_NAMES, Observable, Scalar
 from .symplectic import (
     bopp_shift,
     hamiltonian_vector_field,
     poisson_bracket,
 )
-from .verify import RunConfig, run_suite
+
+
+# The parts of a number as Fraction reads it: digits, decimal places, and
+# a denominator or a decimal exponent. Loose is enough: Fraction still
+# refuses whatever is malformed.
+_NUMBER_PARTS = re.compile(
+    r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:/([\d_]*)|[eE]([-+]?[\d_]*))?\s*")
 
 
 def _rational(text: str) -> Fraction:
+    """A decimal or ratio whose size is bounded before it is built.
+
+    ``Fraction("1e9999999")`` computes 10**9999999, which takes seconds,
+    so the text is measured first. As for a literal in an expression, the
+    numerator and the denominator may have at most ``MAX_LITERAL_DIGITS``
+    digits, counting the places a decimal exponent adds; the number then
+    fits in ``MAX_COEFF_BITS`` bits.
+    """
+    parts = _NUMBER_PARTS.fullmatch(text)
     try:
+        if parts is not None:
+            whole, places, denominator, exponent = (
+                (group or "").replace("_", "") for group in parts.groups())
+            shift = int(exponent or 0)
+            digits = max(len(whole) + len(places) + max(shift, 0),
+                         len(places) - min(shift, 0), len(denominator))
+            if digits > MAX_LITERAL_DIGITS:
+                raise argparse.ArgumentTypeError(
+                    f"{text!r} is too large: a number may have at most "
+                    f"{MAX_LITERAL_DIGITS} digits, counting those its "
+                    f"exponent adds")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
@@ -51,6 +86,17 @@ def _duration(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a positive finite number")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative finite number")
     return value
 
 
@@ -78,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="box half-width (default 20.0)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks (default 0)")
-    common.add_argument("--tol", type=float, default=None,
+    common.add_argument("--tol", type=_tolerance, default=None,
                         help="override every check tolerance")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
@@ -220,6 +266,9 @@ def _cmd_momentmap(args) -> int:
 
 
 def _cmd_rep_check(args) -> int:
+    from .grid import GridSpec, gaussian
+    from .operators import commutator_check, weyl_check
+
     spec = GridSpec(n=args.grid_n, l=args.box_l,
                     theta=float(args.theta), hbar=float(args.hbar))
     packet = gaussian(spec, center=(0.5, -1.0), sigma=1.2,
@@ -253,6 +302,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    from .verify import RunConfig, run_suite
+
     config = RunConfig(theta=float(args.theta), hbar=float(args.hbar),
                        grid_n=args.grid_n, box_l=args.box_l, seed=args.seed,
                        tol=args.tol)
@@ -282,6 +333,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except OverflowError as err:
+        print(f"error: number out of float range: {err}", file=sys.stderr)
         return 3
 
 

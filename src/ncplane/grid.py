@@ -45,12 +45,20 @@ class GridSpec:
                 raise ValueError(f"{name} must be finite")
         if not self.l > 0:
             raise ValueError("box half-width l must be positive")
+        # A finite l can still overflow the step 2l/n, or underflow it so
+        # far that the Nyquist wavenumber pi/step overflows.
+        step = self.step
+        if not (step > 0 and math.isfinite(step)
+                and math.isfinite(math.pi / step)):
+            raise ValueError(
+                f"l must give a finite grid step 2l/n and wavenumber "
+                f"pi/step, got l={self.l!r} with n={self.n}")
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
         # The 1-D axis points and wavenumbers, shared read-only by every
         # state and operator on this grid.
-        points = -self.l + self.step * np.arange(self.n)
-        wavenumbers = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.step)
+        points = -self.l + step * np.arange(self.n)
+        wavenumbers = 2.0 * np.pi * np.fft.fftfreq(self.n, d=step)
         for name, array in (("_points", points), ("_wavenumbers", wavenumbers)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)

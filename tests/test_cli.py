@@ -4,11 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ncplane.cli import main
+from ncplane.expr import format_observable
+from ncplane.heisenberg import AlgebraElement, moment_map
 
 
 def run(capsys, *argv):
@@ -157,11 +160,111 @@ class TestErrorPaths:
         assert err.splitlines()[-1].endswith(
             f"argument {flag}: {value!r} is not a positive finite number")
 
+    @pytest.mark.parametrize("command", ["rep-check", "verify-all"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "x"])
+    def test_bad_tolerance_exits_2(self, capsys, command, value):
+        code, out, err = run(capsys, command, "--grid-n", "64",
+                             "--box-l", "16", f"--tol={value}")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"argument --tol: {value!r} is not a non-negative finite number")
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "rep-check", "--grid-n", "64",
+                           "--box-l", "16", "--tol", "0")
+        assert code == 1
+        assert "tol=0.000e+00" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["rep-check", "--theta", "1e400"],
+        ["rep-check", "--hbar", "1e400"],
+        ["verify-all", "--theta", "1e400"],
+        ["evolve", "q1", "--x0", "1e400,0,0,0", "--time", "1", "--dt", "0.5"],
+    ])
+    def test_float_overflow_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: number out of float range")
+
+    def test_float_overflow_in_the_energy_column_exits_3(self, capsys):
+        # (1e200)^2 overflows in float power while the rows print
+        code, _, err = run(capsys, "evolve", "q1^2", "--x0", "1e200,0,0,0",
+                           "--time", "1", "--dt", "0.5")
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: number out of float range")
+
+    @pytest.mark.parametrize("command", ["rep-check", "verify-all"])
+    def test_grid_step_overflow_exits_3(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--grid-n", "64",
+                             "--box-l", "1e308")
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: l must give a finite grid step")
+
     def test_step_count_overflow_exits_3(self, capsys):
         code, _, err = run(capsys, "evolve", "q1*p1", "--x0", "1,0,0,0",
                            "--time", "1e300", "--dt", "1e-300")
         assert code == 3
         assert err.strip() == "error: t_final / dt is too large"
+
+
+ELEMENT = ["0", "0", "0", "0", "0", "1"]
+
+
+class TestNumberBounds:
+    # 10^1228 < 2^4096: a number of at most 1228 digits, counting the
+    # places its exponent adds, fits in MAX_COEFF_BITS bits
+    @pytest.mark.parametrize("argv", [
+        ["cocycle", "1e999999", *ELEMENT[1:], *ELEMENT],
+        ["cocycle", "1e9999999", *ELEMENT[1:], *ELEMENT],
+        ["cocycle", *ELEMENT, "1e-9999999", *ELEMENT[1:]],
+        ["grouplaw", *ELEMENT, *ELEMENT[:-1], "0e9999999"],
+        ["momentmap", "1" * 1229 + "/3", *ELEMENT[1:]],
+        ["momentmap", "3/" + "1" * 1229, *ELEMENT[1:]],
+        ["momentmap", "0." + "0" * 1228 + "1", *ELEMENT[1:]],
+        ["momentmap", "1e1228", *ELEMENT[1:]],
+        ["bracket", "q1", "q2", "--theta", "1e9999999"],
+        ["bracket", "q1", "q2", "--hbar", "1E+9_999_999"],
+        ["bracket", "q1", "q2", "--point", "1e9999999,0,0,0"],
+        ["evolve", "q1", "--x0", "0,0,0,1e9999999", "--time", "1"],
+    ])
+    def test_oversized_number_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            "is too large: a number may have at most 1228 digits, "
+            "counting those its exponent adds")
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e1227", Fraction(10) ** 1227),
+        ("1e-1228", Fraction(1, 10 ** 1228)),
+        ("9" * 1228 + "/7", Fraction(int("9" * 1228), 7)),
+        ("1.5e3", Fraction(1500)),
+        ("2_5.0e-1", Fraction(5, 2)),
+    ])
+    def test_numbers_within_the_bound_are_exact(self, capsys, text, value):
+        code, out, _ = run(capsys, "momentmap", text, *ELEMENT[1:])
+        assert code == 0
+        assert out.strip() == format_observable(
+            moment_map(AlgebraElement((value, 0), (0, 0), 0, 1)))
+
+    @pytest.mark.parametrize("text", ["1e", "e5", "1e5e3", "1/2e3", "1 e5",
+                                      "1.5/2", "1/0", "1__0", ""])
+    def test_malformed_numbers_still_exit_2(self, capsys, text):
+        code, _, err = run(capsys, "momentmap", text, *ELEMENT[1:])
+        assert code == 2
+        assert err.splitlines()[-1].endswith(f"{text!r} is not a rational number")
 
 
 class TestRepCheck:
@@ -227,7 +330,7 @@ class TestRepeatedCalls:
 @pytest.fixture
 def shared_suite(monkeypatch, cached_run_suite):
     """Route verify-all through the session's cached suite runs."""
-    monkeypatch.setattr("ncplane.cli.run_suite", cached_run_suite)
+    monkeypatch.setattr("ncplane.verify.run_suite", cached_run_suite)
 
 
 class TestVerifyAll:
@@ -262,6 +365,31 @@ class TestVerifyAll:
         assert code == 3
         assert out == ""
         assert err.strip() == "error: l must be finite"
+
+
+def test_exact_commands_load_no_numeric_layer():
+    # a fresh interpreter: this test process has loaded numpy already
+    code = """
+import sys
+from ncplane import cli
+element = ["1", "0", "1/2", "0", "0", "1"]
+for argv in (["bracket", "q1*p1^2", "q2", "--point", "1,2,3,4"],
+             ["vf", "q1*p2"], ["bopp", "q1*q2"],
+             ["cocycle", *element, *element], ["grouplaw", *element, *element],
+             ["momentmap", *element],
+             ["evolve", "q1*p1", "--x0", "1,0,0,0", "--time", "0.1"]):
+    assert cli.main(argv) == 0, argv
+loaded = {"numpy", "ncplane.grid", "ncplane.operators", "ncplane.verify",
+          "ncplane.sampling"} & set(sys.modules)
+print(sorted(loaded), file=sys.stderr)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.strip() == "[]"
 
 
 def test_python_dash_m_runs_the_cli():

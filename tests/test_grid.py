@@ -47,6 +47,17 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             GridSpec(**fields)
 
+    # 2l/n overflows to inf at the first; at the others pi/step does
+    @pytest.mark.parametrize("n, l", [(64, 1e308), (16, 5e-324), (64, 1e-320)])
+    def test_step_out_of_float_range_names_l(self, n, l):
+        with pytest.raises(ValueError, match="^l must give a finite grid step"):
+            GridSpec(n=n, l=l, theta=0.1)
+
+    def test_extreme_but_representable_step_is_fine(self):
+        spec = GridSpec(n=64, l=1e-300, theta=0.1)
+        assert np.isfinite(spec.wavenumbers()).all()
+        assert np.isfinite(GridSpec(n=64, l=1e300, theta=0.1).axis_points()).all()
+
     def test_size_cap(self):
         # constructing the spec allocates only its two axis arrays
         assert GridSpec(n=MAX_GRID_N, l=10.0, theta=0.0).n == MAX_GRID_N
